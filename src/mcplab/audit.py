@@ -70,8 +70,8 @@ def low_degree_witness(
         by_degree = sorted(range(n), key=lambda a: (len(adj[a] & tset), a))
         x = tuple(sorted(by_degree[:x_size]))
         if all(len(adj[a] & tset) < deg_cut for a in x):
-            for a in x:
-                assert color_cut_count(g, (a,), t, color) < deg_cut
+            if any(color_cut_count(g, (a,), t, color) >= deg_cut for a in x):
+                raise ValidationError("low-degree witness failed re-verification")
             return x, s_all, tuple(t)
     return None
 
@@ -97,8 +97,8 @@ def high_degree_witness(
         qualified = [a for a in range(n) if len(adj[a] & yset) >= k]
         if len(qualified) >= x_size:
             x = tuple(qualified[:x_size])
-            for a in x:
-                assert color_cut_count(g, (a,), y, color) >= k
+            if any(color_cut_count(g, (a,), y, color) < k for a in x):
+                raise ValidationError("high-degree witness failed re-verification")
             return x, tuple(y)
     return None
 
@@ -123,7 +123,8 @@ def dense_cut_witness(
             tset = set(t)
             edges = sum(len(adj[a] & tset) for a in s)
             if edges >= min_edges:
-                assert color_cut_count(g, s, t, color) == edges
+                if color_cut_count(g, s, t, color) != edges:
+                    raise ValidationError("dense-cut witness failed re-verification")
                 return tuple(s), tuple(t)
     return None
 
@@ -152,7 +153,8 @@ def empty_cut_witness(
             for t in combinations(range(n), t_size):
                 tset = set(t)
                 if all(not (adj[a] & tset) for a in s):
-                    assert color_cut_count(g, s, t, color) == 0
+                    if color_cut_count(g, s, t, color) != 0:
+                        raise ValidationError("empty-cut witness failed re-verification")
                     return tuple(s), tuple(t)
         return None
     return _empty_cut_greedy(g, color, s_size, t_size)

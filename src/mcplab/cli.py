@@ -96,7 +96,9 @@ def _cmd_match(args) -> int:
             else tuple(range(1, g.q + 1))
         )
         m = max_matching(g, colors)
-    assert verify_matching(g, m) is None
+    clause = verify_matching(g, m)
+    if clause is not None:
+        raise LabError(f"matching failed verification: {clause}")
     print(f"size {m.size}")
     for a, b in m.pairs():
         print(f"{a} {b}")

@@ -49,9 +49,9 @@ class ColorSpec:
             raise ValidationError(
                 f"expected {self.q} alphas, got {len(self.alphas)}"
             )
-        if any(a <= 0.0 for a in self.alphas):
+        if not all(a > 0.0 for a in self.alphas):  # also rejects NaN
             raise ValidationError("every alpha must be strictly positive")
-        if abs(math.fsum(self.alphas) - 1.0) > ALPHA_SUM_TOL:
+        if not abs(math.fsum(self.alphas) - 1.0) <= ALPHA_SUM_TOL:
             raise ValidationError(
                 f"alphas must sum to 1 (got {math.fsum(self.alphas)!r})"
             )
@@ -322,8 +322,9 @@ def color_cut_count(
 #     n q
 #     alpha_1 ... alpha_q     (optional; present when the graph was sampled)
 #     a b c                   (one edge per line, emitted sorted by (a, b))
-# The alpha line is recognized by having exactly q tokens at least one of
-# which is not an integer literal (valid alphas are never all integers).
+# Before the first edge, a line of exactly q tokens is the alpha line unless
+# it is three integer tokens (an edge when q = 3); so for q = 1 the line "1"
+# is the alpha line.  Alphas must satisfy the ColorSpec invariants.
 
 
 def serialize_graph(g: ColoredBipartiteGraph) -> str:
@@ -366,12 +367,12 @@ def parse_graph(text: str) -> ColoredBipartiteGraph:
             alphas is None
             and not saw_edge
             and len(tokens) == header[1]
-            and not all(_is_int_token(t) for t in tokens)
+            and not (len(tokens) == 3 and all(_is_int_token(t) for t in tokens))
         ):
             try:
-                alphas = tuple(float(t) for t in tokens)
-            except ValueError:
-                raise ParseError(line_no, f"bad alpha line {line!r}") from None
+                alphas = ColorSpec(header[1], tuple(float(t) for t in tokens)).alphas
+            except ValueError as exc:
+                raise ParseError(line_no, f"bad alpha line {line!r}: {exc}") from None
             continue
         if len(tokens) != 3:
             raise ParseError(line_no, f"expected edge 'a b c', got {line!r}")

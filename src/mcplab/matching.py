@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .errors import NoPerfectMatchingError, ValidationError
+from .errors import LabError, NoPerfectMatchingError, ValidationError
 from .graphs import UNMATCHED, ColoredBipartiteGraph, Matching
 
 _INF = float("inf")
@@ -153,7 +153,8 @@ def monochromatic_perfect_matching(
     from .graphs import color_neighborhood  # local import avoids cycle at module load
 
     nbhd = color_neighborhood(g, witness, color)
-    assert len(nbhd) < len(witness), "extracted witness is not deficient"
+    if len(nbhd) >= len(witness):
+        raise LabError("extracted witness is not deficient")
     raise NoPerfectMatchingError(color, witness)
 
 

@@ -3,7 +3,8 @@
 Ground truth for all solver testing, so the code here favors being
 obviously correct over being clever.  Two independent routes are provided:
 a subset dynamic program (default limit n <= 20, q <= 4) and a factorial
-brute force over all bijections (n <= 9).
+brute force over all bijections (n <= 9).  Membership (``has_profile``) is
+answered by the same DP.
 """
 
 from __future__ import annotations
@@ -16,13 +17,6 @@ from .graphs import ColoredBipartiteGraph, ColorProfile, validate_profile_for
 DP_LIMIT = 20
 NAIVE_LIMIT = 9
 Q_LIMIT = 4
-
-
-def _check_dp_limits(g: ColoredBipartiteGraph, max_n: int) -> None:
-    if g.n > max_n:
-        raise InstanceTooLargeError(f"n={g.n} exceeds limit {max_n}")
-    if g.q > Q_LIMIT:
-        raise InstanceTooLargeError(f"q={g.q} exceeds limit {Q_LIMIT}")
 
 
 def _vertex_edges(g: ColoredBipartiteGraph, a: int) -> list[tuple[int, int]]:
@@ -45,7 +39,10 @@ def enumerate_mcp(
     the popcount.  Processing masks in increasing numeric order is valid
     because adding a bit always increases the mask.
     """
-    _check_dp_limits(g, max_n)
+    if g.n > max_n:
+        raise InstanceTooLargeError(f"n={g.n} exceeds limit {max_n}")
+    if g.q > Q_LIMIT:
+        raise InstanceTooLargeError(f"q={g.q} exceeds limit {Q_LIMIT}")
     n, q = g.n, g.q
     edges_by_vertex = [_vertex_edges(g, a) for a in range(n)]
     empty = (0,) * (q - 1)
@@ -100,39 +97,7 @@ def has_profile(
     g: ColoredBipartiteGraph, profile: ColorProfile | tuple[int, ...],
     max_n: int = DP_LIMIT,
 ) -> bool:
-    """Membership test; the same DP with partial profiles pruned against
-    the target (a coordinate that already exceeds the target, including the
-    implied last one, can never recover)."""
+    """Membership test: whether ``profile`` is in ``enumerate_mcp(g, max_n)``,
+    the same subset DP."""
     target = validate_profile_for(g, tuple(profile))
-    _check_dp_limits(g, max_n)
-    n, q = g.n, g.q
-    head = target.counts[: q - 1]
-    last_cap = target.counts[q - 1]
-    edges_by_vertex = [_vertex_edges(g, a) for a in range(n)]
-    empty = (0,) * (q - 1)
-    dp: dict[int, set[tuple[int, ...]]] = {0: {empty}}
-    for mask in range(1 << n):
-        profiles = dp.get(mask)
-        if not profiles:
-            continue
-        k = mask.bit_count()
-        if k == n:
-            continue
-        for b, c in edges_by_vertex[k]:
-            bit = 1 << b
-            if mask & bit:
-                continue
-            bucket = dp.setdefault(mask | bit, set())
-            for prof in profiles:
-                if c == q:
-                    new = prof
-                else:
-                    i = c - 1
-                    if prof[i] + 1 > head[i]:
-                        continue
-                    new = prof[:i] + (prof[i] + 1,) + prof[i + 1 :]
-                if (k + 1) - sum(new) > last_cap:
-                    continue
-                bucket.add(new)
-    final = dp.get((1 << n) - 1, set())
-    return head in final if final else False
+    return target in enumerate_mcp(g, max_n)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .errors import (
     InvalidCycleError,
+    LabError,
     NoPerfectMatchingError,
     NoSourceEdgesError,
     ValidationError,
@@ -61,9 +62,10 @@ class AlternatingCycle:
         return len(self.a_seq)
 
 
-def _validate_structure(
+def validate_cycle(
     g: ColoredBipartiteGraph, m: Matching, cycle: AlternatingCycle
 ) -> str | None:
+    """Return None if the cycle satisfies every invariant, else the violated clause."""
     a_seq, b_seq = cycle.a_seq, cycle.b_seq
     ell = len(a_seq)
     if ell < 1 or len(b_seq) != ell:
@@ -74,34 +76,21 @@ def _validate_structure(
         return "simplicity: repeated vertex"
     for j in range(ell):
         a, b = a_seq[j], b_seq[j]
-        if not g.has_edge(a, b):
+        c = g.color_of(a, b)
+        if c is None:
             return f"non-matching edge ({a}, {b}) absent from graph"
         if m.assign[a] == b:
             return f"edge ({a}, {b}) is a matching edge"
-        a_next = a_seq[(j + 1) % ell]
-        if m.assign[a_next] != b:
-            return f"({b}, {a_next}) is not a matching edge"
-    return None
-
-
-def validate_cycle(
-    g: ColoredBipartiteGraph, m: Matching, cycle: AlternatingCycle
-) -> str | None:
-    """Return None if the cycle satisfies every invariant, else the violated clause."""
-    clause = _validate_structure(g, m, cycle)
-    if clause is not None:
-        return clause
-    a_seq, b_seq = cycle.a_seq, cycle.b_seq
-    for j in range(len(a_seq)):
-        a, b = a_seq[j], b_seq[j]
-        c = g.color_of(a, b)
         want = cycle.to_color if j == cycle.special_index else cycle.from_color
         if c != want:
             return f"non-matching edge ({a}, {b}) has color {c}, expected {want}"
-        a_next = a_seq[(j + 1) % len(a_seq)]
-        mc = g.color_of(a_next, b)
+        # the matching edge into a; a is known to be in range from here on
+        b_prev = b_seq[j - 1]
+        if m.assign[a] != b_prev:
+            return f"({b_prev}, {a}) is not a matching edge"
+        mc = g.color_of(a, b_prev)
         if mc != cycle.from_color:
-            return f"matching edge ({a_next}, {b}) has color {mc}, expected {cycle.from_color}"
+            return f"matching edge ({a}, {b_prev}) has color {mc}, expected {cycle.from_color}"
     return None
 
 
@@ -110,21 +99,6 @@ def _toggled(m: Matching, cycle: AlternatingCycle) -> Matching:
     for a, b in zip(cycle.a_seq, cycle.b_seq):
         assign[a] = b
     return Matching(tuple(assign))
-
-
-def toggle_cycle(
-    g: ColoredBipartiteGraph, m: Matching, cycle: AlternatingCycle
-) -> Matching:
-    """Symmetric difference with the cycle's edges, ignoring colors.
-
-    The raw exchange is an involution: toggling the reversed cycle on the
-    result returns the original matching.  Only the structural clauses
-    (alternation, simplicity, edge existence) are enforced.
-    """
-    clause = _validate_structure(g, m, cycle)
-    if clause is not None:
-        raise InvalidCycleError(clause)
-    return _toggled(m, cycle)
 
 
 def apply_cycle(
@@ -304,7 +278,7 @@ def recolor_step(
     cyc, _ = _find_cycle(g, m, from_color, to_color, seed)
     if cyc is None:
         return None
-    return apply_cycle(g, m, cyc), cyc
+    return _toggled(m, cyc), cyc
 
 
 @dataclass(frozen=True)
@@ -413,7 +387,7 @@ def achieve_profile(
                     WalkFailure("step_exhausted", j, tuple(counts)),
                     report(),
                 )
-            m = apply_cycle(g, m, cyc)
+            m = _toggled(m, cyc)  # _find_cycle validated cyc against m
             # exactly one A-vertex (the special edge's endpoint) leaves color i*
             match_colors[cyc.a_seq[cyc.special_index]] = j
             counts[i_star - 1] -= 1
@@ -423,5 +397,6 @@ def achieve_profile(
             ms_per_step.append((time.perf_counter() - t0) * 1000.0)
 
     final = profile_of(g, m)
-    assert final == target, f"walk bookkeeping drifted: {final} != {target}"
+    if final != target:
+        raise LabError(f"walk bookkeeping drifted: {final} != {target}")
     return WalkOutcome(m, None, report())

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -272,3 +273,26 @@ class TestSweepAndEmit:
         assert all(r["ms"] == 0.0 for r in rows)
         rows_t = record_rows(records[0], cfg, include_timings=True)
         assert any(r["ms"] > 0.0 for r in rows_t if r["check"] == "walk")
+
+    def test_golden_digest(self):
+        # Pinned emit bytes for one fixed sweep whose walks take ~300 steps;
+        # a refactor of sampling, matching or the walk must leave them as is.
+        cfg = small_config(
+            n=60,
+            colors=ColorSpec(3, (0.5, 0.25, 0.25)),
+            omega_grid=(-2.0, 3.0),
+            trials=3,
+            base_seed=7,
+            suite_kind="random",
+            suite_count=4,
+        )
+        records = sweep(cfg)
+        digests = {}
+        for fmt in ("csv", "jsonl"):
+            buf = io.StringIO()
+            emit(records, fmt, buf, cfg)
+            digests[fmt] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digests == {
+            "csv": "38636d33802bd9c3ca7f876880b39c605b13b9661ca2e5e6c2dad99ab34fc95b",
+            "jsonl": "c9033725c5db58737e16b1f28c0e0d57651edc7117ecbc3a143f0419df6960ab",
+        }

@@ -31,8 +31,9 @@ class TestColorSpec:
         assert cs.q == 4 and cs.alpha_min == 0.25
 
     def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValidationError):
-            ColorSpec(2, (1.0, 0.0))
+        for alphas in ((1.0, 0.0), (float("nan"), 0.5)):
+            with pytest.raises(ValidationError):
+                ColorSpec(2, alphas)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError):
@@ -181,6 +182,14 @@ class TestSerialization:
         assert g.alphas is not None
         g2 = parse_graph(serialize_graph(g))
         assert g2.alphas == g.alphas and g2 == g
+        # q = 1: the integer line "1" is the alpha line, not a short edge
+        assert parse_graph("2 1\n1\n0 0 1\n").alphas == (1.0,)
+
+    def test_bad_alpha_line(self):
+        for text in ("2 2\n0.9 0.9\n0 0 1\n", "2 2\nnan nan\n", "2 2\n0.5 x\n"):
+            with pytest.raises(ParseError) as exc:
+                parse_graph(text)
+            assert exc.value.line_no == 2
 
     def test_bad_header(self):
         with pytest.raises(ParseError):

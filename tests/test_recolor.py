@@ -18,7 +18,6 @@ from mcplab import (
     recolor_step,
     sample_graph,
     threshold_p,
-    toggle_cycle,
     validate_cycle,
     verify_matching,
 )
@@ -79,30 +78,14 @@ class TestApplyCycle:
         assert profile_of(f3, m2).counts == (2, 1)
         assert verify_matching(f3, m2, require_perfect=True) is None
 
-    def test_reversed_cycle_toggle_returns_original(self, f3):
-        m = identity_matching(3)
-        cyc = find_recoloring_cycle(f3, m, 1, 2, rng_seed=5)
-        m2 = apply_cycle(f3, m, cyc)
-        # The reverse exchange swaps matching and non-matching roles: the
-        # old matching edges (b_seq[j], a_seq[j+1]) become the non-matching
-        # pairs, so a_seq rotates by one.  The color pattern no longer fits
-        # a recoloring cycle, but the raw symmetric difference is an
-        # involution.
-        rev = AlternatingCycle(
-            a_seq=cyc.a_seq[1:] + cyc.a_seq[:1],
-            b_seq=cyc.b_seq,
-            special_index=0,
-            from_color=cyc.from_color,
-            to_color=cyc.to_color,
-        )
-        m3 = toggle_cycle(f3, m2, rev)
-        assert m3 == m
-        with pytest.raises(InvalidCycleError):
-            apply_cycle(f3, m2, rev)
-
     def test_repeated_vertex_rejected(self, f3):
         bad = AlternatingCycle((0, 0), (0, 1), 0, 1, 2)
         with pytest.raises(InvalidCycleError, match="simplicity"):
+            apply_cycle(f3, identity_matching(3), bad)
+
+    def test_out_of_range_vertex_rejected(self, f3):
+        bad = AlternatingCycle((0, 5), (1, 0), 0, 1, 2)
+        with pytest.raises(InvalidCycleError):
             apply_cycle(f3, identity_matching(3), bad)
 
     def test_wrong_color_rejected(self, f3):
