@@ -14,13 +14,23 @@ backward from b0 (B-side); any target-color edge joining the forward tree's
 A-side to the backward tree's B-side closes a cycle through (a0, b0).  The
 search runs over the whole graph (no core restriction): discarding vertices
 only ever removes reachable cycles.
+
+Walk state: ``achieve_profile`` keeps the matching in mutable arrays for the
+whole walk (``assign``, ``inverse``, each A-vertex's matched color, and the
+sorted source-color anchors) and toggles each cycle in place, so besides the
+search a step does O(cycle length + anchor draws) Python-level work rather
+than O(n).  The search core validates every cycle it returns, once per step,
+and one ``Matching`` is built at the end.  The public step functions take and
+return immutable ``Matching``s.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (
     InvalidCycleError,
@@ -66,6 +76,12 @@ def validate_cycle(
     g: ColoredBipartiteGraph, m: Matching, cycle: AlternatingCycle
 ) -> str | None:
     """Return None if the cycle satisfies every invariant, else the violated clause."""
+    return _cycle_violation(g, m.assign, cycle)
+
+
+def _cycle_violation(
+    g: ColoredBipartiteGraph, assign: Sequence[int], cycle: AlternatingCycle
+) -> str | None:
     a_seq, b_seq = cycle.a_seq, cycle.b_seq
     ell = len(a_seq)
     if ell < 1 or len(b_seq) != ell:
@@ -79,14 +95,14 @@ def validate_cycle(
         c = g.color_of(a, b)
         if c is None:
             return f"non-matching edge ({a}, {b}) absent from graph"
-        if m.assign[a] == b:
+        if assign[a] == b:
             return f"edge ({a}, {b}) is a matching edge"
         want = cycle.to_color if j == cycle.special_index else cycle.from_color
         if c != want:
             return f"non-matching edge ({a}, {b}) has color {c}, expected {want}"
         # the matching edge into a; a is known to be in range from here on
         b_prev = b_seq[j - 1]
-        if m.assign[a] != b_prev:
+        if assign[a] != b_prev:
             return f"({b_prev}, {a}) is not a matching edge"
         mc = g.color_of(a, b_prev)
         if mc != cycle.from_color:
@@ -104,7 +120,10 @@ def _toggled(m: Matching, cycle: AlternatingCycle) -> Matching:
 def apply_cycle(
     g: ColoredBipartiteGraph, m: Matching, cycle: AlternatingCycle
 ) -> Matching:
-    """Symmetric difference of the matching with a fully valid recoloring cycle."""
+    """Symmetric difference of the matching with a fully valid recoloring cycle.
+
+    Takes and returns an immutable ``Matching``, so each call costs O(n).
+    """
     clause = validate_cycle(g, m, cycle)
     if clause is not None:
         raise InvalidCycleError(clause)
@@ -157,14 +176,13 @@ def _splice(
 
 def _search_from_anchor(
     g: ColoredBipartiteGraph,
-    m: Matching,
+    assign: Sequence[int],
+    inverse: Sequence[int],
     from_color: int,
     to_color: int,
     a0: int,
     match_colors: list[int],
 ) -> AlternatingCycle | None:
-    assign = m.assign
-    inverse = m.inverse
     b0 = assign[a0]
     adj_src_a = g._adj_a[from_color - 1]
     adj_src_b = g._adj_b[from_color - 1]
@@ -220,39 +238,59 @@ def _search_from_anchor(
     return None
 
 
+def _search(
+    g: ColoredBipartiteGraph,
+    assign: Sequence[int],
+    inverse: Sequence[int],
+    match_colors: list[int],
+    anchors: list[int],
+    from_color: int,
+    to_color: int,
+    rng_seed: int,
+) -> tuple[AlternatingCycle | None, int]:
+    """Search core over a perfect matching's arrays.
+
+    ``anchors`` are the A-vertices matched in ``from_color``, in increasing
+    order; the seeded draw from them fixes which anchors are tried.  Returns
+    (cycle or None, anchors tried).
+    """
+    order = random.Random(rng_seed).sample(anchors, min(len(anchors), ANCHOR_BUDGET))
+    for tried, a0 in enumerate(order, start=1):
+        cyc = _search_from_anchor(
+            g, assign, inverse, from_color, to_color, a0, match_colors
+        )
+        if cyc is not None:
+            clause = _cycle_violation(g, assign, cyc)  # re-verify, never trust the search
+            if clause is not None:
+                raise InvalidCycleError(f"search produced a bad cycle: {clause}")
+            return cyc, tried
+    return None, len(order)
+
+
 def _find_cycle(
     g: ColoredBipartiteGraph,
     m: Matching,
     from_color: int,
     to_color: int,
     rng_seed: int,
-    match_colors: list[int] | None = None,
-) -> tuple[AlternatingCycle | None, int]:
-    """Core search; returns (cycle or None, anchors tried)."""
+) -> AlternatingCycle | None:
+    """Check the arguments, derive the search state from ``m`` and search."""
     if from_color == to_color:
         raise ValidationError("from_color and to_color must differ")
     g._check_color(from_color)
     g._check_color(to_color)
     if not m.is_perfect:
         raise ValidationError("matching must be perfect")
-    if match_colors is None:
-        match_colors = _matching_colors(g, m)
+    match_colors = _matching_colors(g, m)
     anchors = [a for a in range(g.n) if match_colors[a] == from_color]
     if not anchors:
         raise NoSourceEdgesError(
             f"matching has no edge of color {from_color}"
         )
-    rng = random.Random(rng_seed)
-    budget = min(len(anchors), ANCHOR_BUDGET)
-    order = rng.sample(anchors, budget)
-    for tried, a0 in enumerate(order, start=1):
-        cyc = _search_from_anchor(g, m, from_color, to_color, a0, match_colors)
-        if cyc is not None:
-            clause = validate_cycle(g, m, cyc)  # re-verify, never trust the search
-            if clause is not None:
-                raise InvalidCycleError(f"search produced a bad cycle: {clause}")
-            return cyc, tried
-    return None, len(order)
+    cyc, _ = _search(
+        g, m.assign, m.inverse, match_colors, anchors, from_color, to_color, rng_seed
+    )
+    return cyc
 
 
 def find_recoloring_cycle(
@@ -262,9 +300,12 @@ def find_recoloring_cycle(
     to_color: int,
     rng_seed: int = 0,
 ) -> AlternatingCycle | None:
-    """A recoloring cycle for from_color -> to_color, or None if none found."""
-    cyc, _ = _find_cycle(g, m, from_color, to_color, rng_seed)
-    return cyc
+    """A recoloring cycle for from_color -> to_color, or None if none found.
+
+    Takes an immutable ``Matching`` and rederives the search state from it,
+    so each call costs O(n) before the search starts.
+    """
+    return _find_cycle(g, m, from_color, to_color, rng_seed)
 
 
 def recolor_step(
@@ -275,7 +316,7 @@ def recolor_step(
     seed: int = 0,
 ) -> tuple[Matching, AlternatingCycle] | None:
     """Find and apply one recoloring cycle; None when the search fails."""
-    cyc, _ = _find_cycle(g, m, from_color, to_color, seed)
+    cyc = _find_cycle(g, m, from_color, to_color, seed)
     if cyc is None:
         return None
     return _toggled(m, cyc), cyc
@@ -365,36 +406,46 @@ def achieve_profile(
                 None, WalkFailure("no_monochromatic_start", i_star), report()
             )
 
-    counts = [0] * q
-    counts[i_star - 1] = n
-    match_colors = [i_star] * n
-    step_index = 0
-    for j in range(1, q + 1):
-        if j == i_star:
-            continue
-        for _ in range(target.counts[j - 1]):
-            attempted += 1
-            t0 = time.perf_counter()
-            cyc, tried = _find_cycle(
-                g, m, i_star, j, stream_value(seed, step_index), match_colors
-            )
-            step_index += 1
-            if cyc is None:
-                ms_per_step.append((time.perf_counter() - t0) * 1000.0)
-                retries.append(tried - 1)
-                return WalkOutcome(
-                    None,
-                    WalkFailure("step_exhausted", j, tuple(counts)),
-                    report(),
+    if best < n:  # a corner target takes no step and builds no walk state
+        counts = [0] * q
+        counts[i_star - 1] = n
+        assign = list(m.assign)
+        inverse = list(m.inverse)
+        match_colors = [i_star] * n
+        anchors = list(range(n))  # every A-vertex starts matched in color i*
+        step_index = 0
+        for j in range(1, q + 1):
+            if j == i_star:
+                continue
+            for _ in range(target.counts[j - 1]):
+                attempted += 1
+                t0 = time.perf_counter()
+                cyc, tried = _search(
+                    g, assign, inverse, match_colors, anchors, i_star, j,
+                    stream_value(seed, step_index),
                 )
-            m = _toggled(m, cyc)  # _find_cycle validated cyc against m
-            # exactly one A-vertex (the special edge's endpoint) leaves color i*
-            match_colors[cyc.a_seq[cyc.special_index]] = j
-            counts[i_star - 1] -= 1
-            counts[j - 1] += 1
-            cycle_lengths.append(len(cyc))
-            retries.append(tried - 1)
-            ms_per_step.append((time.perf_counter() - t0) * 1000.0)
+                step_index += 1
+                if cyc is None:
+                    ms_per_step.append((time.perf_counter() - t0) * 1000.0)
+                    retries.append(tried - 1)
+                    return WalkOutcome(
+                        None,
+                        WalkFailure("step_exhausted", j, tuple(counts)),
+                        report(),
+                    )
+                for a, b in zip(cyc.a_seq, cyc.b_seq):  # _search validated cyc
+                    assign[a] = b
+                    inverse[b] = a
+                # exactly one A-vertex (the special edge's endpoint) leaves color i*
+                a = cyc.a_seq[cyc.special_index]
+                match_colors[a] = j
+                del anchors[bisect_left(anchors, a)]
+                counts[i_star - 1] -= 1
+                counts[j - 1] += 1
+                cycle_lengths.append(len(cyc))
+                retries.append(tried - 1)
+                ms_per_step.append((time.perf_counter() - t0) * 1000.0)
+        m = Matching(tuple(assign))
 
     final = profile_of(g, m)
     if final != target:

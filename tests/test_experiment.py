@@ -274,17 +274,41 @@ class TestSweepAndEmit:
         rows_t = record_rows(records[0], cfg, include_timings=True)
         assert any(r["ms"] > 0.0 for r in rows_t if r["check"] == "walk")
 
-    def test_golden_digest(self):
-        # Pinned emit bytes for one fixed sweep whose walks take ~300 steps;
-        # a refactor of sampling, matching or the walk must leave them as is.
+    @pytest.mark.parametrize(
+        "n, omega_grid, trials, suite_count, want",
+        [
+            pytest.param(
+                60, (-2.0, 3.0), 3, 4,
+                {
+                    "csv": "38636d33802bd9c3ca7f876880b39c605b13b9661ca2e5e6c2dad99ab34fc95b",
+                    "jsonl": "c9033725c5db58737e16b1f28c0e0d57651edc7117ecbc3a143f0419df6960ab",
+                },
+                id="n60",
+            ),
+            # more than 277 source-color anchors: random.sample switches from
+            # copying a pool to set-based rejection, so both draw paths are pinned
+            pytest.param(
+                400, (3.0,), 2, 2,
+                {
+                    "csv": "349421b1664f6d172db79f9fb71ae66d7a1363baff1292cc0f280919becc5be8",
+                    "jsonl": "c6376137cb0ce2ecbb905bbe64ce038face2cb4ff90d7b75ed41183123623f4e",
+                },
+                id="n400",
+            ),
+        ],
+    )
+    def test_golden_digest(self, n, omega_grid, trials, suite_count, want):
+        # Pinned emit bytes for fixed sweeps whose walks take hundreds of
+        # steps; a refactor of sampling, matching or the walk must leave them
+        # as is.
         cfg = small_config(
-            n=60,
+            n=n,
             colors=ColorSpec(3, (0.5, 0.25, 0.25)),
-            omega_grid=(-2.0, 3.0),
-            trials=3,
+            omega_grid=omega_grid,
+            trials=trials,
             base_seed=7,
             suite_kind="random",
-            suite_count=4,
+            suite_count=suite_count,
         )
         records = sweep(cfg)
         digests = {}
@@ -292,7 +316,4 @@ class TestSweepAndEmit:
             buf = io.StringIO()
             emit(records, fmt, buf, cfg)
             digests[fmt] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-        assert digests == {
-            "csv": "38636d33802bd9c3ca7f876880b39c605b13b9661ca2e5e6c2dad99ab34fc95b",
-            "jsonl": "c9033725c5db58737e16b1f28c0e0d57651edc7117ecbc3a143f0419df6960ab",
-        }
+        assert digests == want

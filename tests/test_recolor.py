@@ -1,3 +1,4 @@
+import random
 
 import pytest
 
@@ -22,6 +23,8 @@ from mcplab import (
     verify_matching,
 )
 from mcplab.errors import ValidationError
+from mcplab.recolor import ANCHOR_BUDGET
+from mcplab.rng import stream_value
 
 
 def identity_matching(n):
@@ -229,6 +232,75 @@ class TestAchieveProfile:
                     if verify_matching(g, out.matching, require_perfect=True):
                         violations += 1
         assert violations == 0
+
+    @staticmethod
+    def replay(g, target, seed):
+        """Re-run achieve_profile's walk one public recolor_step at a time.
+
+        Returns (final matching or None, cycle lengths, retries, profile
+        reached).  The anchor a step succeeds from lies on its cycle and every
+        anchor drawn before it failed, so a step's retries are the draw
+        position of the first drawn anchor on its cycle.
+        """
+        i_star = target.index(max(target)) + 1
+        m = monochromatic_perfect_matching(g, i_star)
+        counts = [0] * g.q
+        counts[i_star - 1] = g.n
+        cycle_lengths, retries = [], []
+        step = 0
+        for j in range(1, g.q + 1):
+            if j == i_star:
+                continue
+            for _ in range(target[j - 1]):
+                anchors = [a for a, b in m.pairs() if g.color_of(a, b) == i_star]
+                step_seed = stream_value(seed, step)
+                step += 1
+                order = random.Random(step_seed).sample(
+                    anchors, min(len(anchors), ANCHOR_BUDGET)
+                )
+                out = recolor_step(g, m, i_star, j, seed=step_seed)
+                if out is None:
+                    retries.append(len(order) - 1)
+                    return None, cycle_lengths, retries, tuple(counts)
+                m, cyc = out
+                on_cycle = set(cyc.a_seq)
+                retries.append(next(k for k, a in enumerate(order) if a in on_cycle))
+                cycle_lengths.append(len(cyc))
+                counts[i_star - 1] -= 1
+                counts[j - 1] += 1
+        return m, cycle_lengths, retries, tuple(counts)
+
+    @pytest.mark.parametrize("n", [80, 400])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_walk_matches_step_replay(self, q, n):
+        g = sample_graph(
+            SampleParams(n, threshold_p(n, 4.0, 1.0 / q), ColorSpec.uniform(q), 31 * n + q)
+        )
+        rng = random.Random(n + q)
+        for seed in range(3):
+            bars = sorted(rng.sample(range(1, n + q), q - 1))
+            target = tuple(b - a - 1 for a, b in zip([0] + bars, bars + [n + q]))
+            out = achieve_profile(g, target, seed=seed)
+            assert out.ok
+            m, cycle_lengths, retries, _ = self.replay(g, target, seed)
+            assert m.assign == out.matching.assign
+            assert tuple(cycle_lengths) == out.report.cycle_lengths
+            assert tuple(retries) == out.report.retries
+            assert out.report.steps_succeeded == len(cycle_lengths) == n - max(target)
+
+    def test_exhausted_walk_matches_step_replay(self):
+        # color 2 is far below its threshold, so the walk runs out of cycles
+        n = 80
+        colors = ColorSpec(2, (0.9, 0.1))
+        g = sample_graph(SampleParams(n, threshold_p(n, 2.0, 0.9), colors, 0))
+        out = achieve_profile(g, (40, 40), seed=0)
+        assert out.failure.stage == "step_exhausted"
+        m, cycle_lengths, retries, reached = self.replay(g, (40, 40), 0)
+        assert m is None
+        assert tuple(cycle_lengths) == out.report.cycle_lengths
+        assert tuple(retries) == out.report.retries
+        assert out.report.steps_succeeded == len(cycle_lengths)
+        assert reached == out.failure.profile_reached
 
     def test_walk_report_json_keys(self, f3):
         out = achieve_profile(f3, (2, 1), seed=1)
