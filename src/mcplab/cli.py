@@ -44,12 +44,22 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _alphas(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
+def _comma_list(kind):
+    """argparse type for a comma list of ``kind`` values, e.g. 0.5,0.25,0.25."""
+
+    def convert(text: str) -> tuple:
+        return tuple(kind(t) for t in text.split(","))
+
+    convert.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
+    return convert
 
 
-def _profile(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+def _convert(flag: str, values: list[str], kinds: tuple) -> list:
+    """Convert a multi-value flag's values by position."""
+    try:
+        return [kind(v) for kind, v in zip(kinds, values)]
+    except ValueError:
+        raise ValidationError(f"{flag}: malformed value in {' '.join(values)!r}") from None
 
 
 def _read_graph(path: str):
@@ -66,8 +76,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    alphas = _alphas(args.alpha)
-    colors = ColorSpec(len(alphas), alphas)
+    colors = ColorSpec(len(args.alpha), args.alpha)
     if args.q is not None and args.q != colors.q:
         raise ValidationError("--q does not match the number of alphas")
     if args.p is not None:
@@ -90,12 +99,7 @@ def _cmd_match(args) -> int:
             print(f"deficient A-set: {list(exc.witness)}", file=sys.stderr)
             return EXIT_CHECK_FAILED
     else:
-        colors = (
-            tuple(int(t) for t in args.colors.split(","))
-            if args.colors
-            else tuple(range(1, g.q + 1))
-        )
-        m = max_matching(g, colors)
+        m = max_matching(g, args.colors or range(1, g.q + 1))
     clause = verify_matching(g, m)
     if clause is not None:
         raise LabError(f"matching failed verification: {clause}")
@@ -107,8 +111,7 @@ def _cmd_match(args) -> int:
 
 def _cmd_walk(args) -> int:
     g = _read_graph(args.graph)
-    target = _profile(args.target)
-    outcome = achieve_profile(g, target, args.seed)
+    outcome = achieve_profile(g, args.target, args.seed)
     print(json.dumps(outcome.report.to_json()))
     if not outcome.ok:
         f = outcome.failure
@@ -118,7 +121,7 @@ def _cmd_walk(args) -> int:
     if args.out:
         lines = [f"{a} {b}" for a, b in outcome.matching.pairs()]
         _write_output("\n".join(lines) + "\n", args.out)
-    print("profile " + ",".join(str(c) for c in target))
+    print("profile " + ",".join(str(c) for c in args.target))
     return EXIT_OK
 
 
@@ -141,26 +144,26 @@ def _cmd_audit(args) -> int:
         }
     color = args.color
     if args.low_degree:
-        s, t, x, cut = args.low_degree
-        w = low_degree_witness(g, color, int(s), int(t), int(x), float(cut))
+        s, t, x, cut = _convert("--low-degree", args.low_degree, (int, int, int, float))
+        w = low_degree_witness(g, color, s, t, x, cut)
         results["low_degree"] = (
             None if w is None else {"x": list(w[0]), "s": list(w[1]), "t": list(w[2])}
         )
     if args.high_degree:
-        x, y, k = args.high_degree
-        w = high_degree_witness(g, color, int(x), int(y), float(k))
+        x, y, k = _convert("--high-degree", args.high_degree, (int, int, float))
+        w = high_degree_witness(g, color, x, y, k)
         results["high_degree"] = (
             None if w is None else {"x": list(w[0]), "y": list(w[1])}
         )
     if args.dense_cut:
-        s, t, e = args.dense_cut
-        w = dense_cut_witness(g, color, int(s), int(t), float(e))
+        s, t, e = _convert("--dense-cut", args.dense_cut, (int, int, float))
+        w = dense_cut_witness(g, color, s, t, e)
         results["dense_cut"] = (
             None if w is None else {"s": list(w[0]), "t": list(w[1])}
         )
     if args.empty_cut:
-        s, t = args.empty_cut
-        w = empty_cut_witness(g, color, int(s), int(t), exhaustive=not args.greedy)
+        s, t = _convert("--empty-cut", args.empty_cut, (int, int))
+        w = empty_cut_witness(g, color, s, t, exhaustive=not args.greedy)
         results["empty_cut"] = (
             None if w is None else {"s": list(w[0]), "t": list(w[1])}
         )
@@ -216,9 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="sample a graph to a file")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--q", type=int, default=None)
-    p_gen.add_argument("--alpha", required=True, help="e.g. 0.5,0.25,0.25")
-    p_gen.add_argument("--p", type=float, default=None, help="edge probability")
-    p_gen.add_argument("--omega", default=None, help="number or k*llog (needs --n)")
+    p_gen.add_argument("--alpha", type=_comma_list(float), required=True, help="e.g. 0.5,0.25,0.25")
+    p_gen_edge = p_gen.add_mutually_exclusive_group(required=True)
+    p_gen_edge.add_argument("--p", type=float, help="edge probability")
+    p_gen_edge.add_argument("--omega", help="number or k*llog (needs --n)")
     p_gen.add_argument("--seed", type=int, default=1)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=_cmd_gen)
@@ -226,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_match = sub.add_parser("match", help="matching on a color-restricted subgraph")
     p_match.add_argument("graph")
     p_match.add_argument("--color", type=int, default=None, help="require a perfect matching in this color")
-    p_match.add_argument("--colors", default=None, help="allowed colors, e.g. 1,2")
+    p_match.add_argument("--colors", type=_comma_list(int), default=None, help="allowed colors, e.g. 1,2")
     p_match.set_defaults(func=_cmd_match)
 
     p_walk = sub.add_parser("walk", help="walk to a target color profile")
     p_walk.add_argument("graph")
-    p_walk.add_argument("--target", required=True, help="e.g. 334,333,333")
+    p_walk.add_argument("--target", type=_comma_list(int), required=True, help="e.g. 334,333,333")
     p_walk.add_argument("--seed", type=int, default=1)
     p_walk.add_argument("--out", default=None, help="write the matching as 'a b' lines")
     p_walk.set_defaults(func=_cmd_walk)

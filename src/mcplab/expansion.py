@@ -32,45 +32,28 @@ class ExpansionConstants:
     """Thresholds for the restricted-expansion diagnostics.
 
     removal_coeff bounds (as a multiple of n/log n) the size of the sets
-    discarded before the walk; its +1 and +2 companions bound the crowded
-    set and the whole non-core part.  overlap_cap caps adjacency into
-    discarded images; degree_cutoff is the minimum in-class degree of a
-    well-connected vertex; cut_density/cut_size_coeff parameterize the
-    dense-cut events; growth_factor and stop_size govern the layer run.
+    discarded before the walk; removal_coeff + 2 bounds the whole non-core
+    part.  overlap_cap caps adjacency into discarded images; degree_cutoff
+    is the minimum in-class degree of a well-connected vertex;
+    growth_factor and stop_size govern the layer run.
     """
 
     removal_coeff: float
-    removal_coeff_1: float
-    removal_coeff_2: float
     overlap_cap: float
     degree_cutoff: float
-    cut_density: float
-    cut_size_coeff: float
-    cut_size_coeff_free: float
     growth_factor: float
     stop_size: float
 
     def __post_init__(self):
         for name in (
-            "removal_coeff", "removal_coeff_1", "removal_coeff_2",
-            "overlap_cap", "degree_cutoff", "cut_density", "cut_size_coeff",
-            "cut_size_coeff_free", "growth_factor", "stop_size",
+            "removal_coeff", "overlap_cap", "degree_cutoff", "growth_factor",
+            "stop_size",
         ):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be strictly positive")
-        if abs(self.removal_coeff_1 - (self.removal_coeff + 1.0)) > 1e-9:
-            raise ValidationError("removal_coeff_1 must equal removal_coeff + 1")
-        if abs(self.removal_coeff_2 - (self.removal_coeff_1 + 1.0)) > 1e-9:
-            raise ValidationError("removal_coeff_2 must equal removal_coeff_1 + 1")
 
 
-def default_constants(
-    n: int,
-    q: int,
-    alpha_min: float,
-    cut_density: float = 10.0,
-    cut_size_coeff_free: float | None = None,
-) -> ExpansionConstants:
+def default_constants(n: int, q: int, alpha_min: float) -> ExpansionConstants:
     """Evaluate the default threshold formulas at (n, q, alpha_min).
 
     Natural logarithms throughout; requires n >= 3 so that log log n is
@@ -83,22 +66,13 @@ def default_constants(
     if not (0.0 < alpha_min <= 1.0):
         raise ValidationError(f"alpha_min must be in (0, 1], got {alpha_min}")
     log_n = math.log(n)
-    removal = 10.0 * math.log(math.e * q)
-    consts = ExpansionConstants(
-        removal_coeff=removal,
-        removal_coeff_1=removal + 1.0,
-        removal_coeff_2=removal + 2.0,
+    return ExpansionConstants(
+        removal_coeff=10.0 * math.log(math.e * q),
         overlap_cap=10.0 * log_n / math.log(log_n),
         degree_cutoff=log_n / (10.0 * q),
-        cut_density=cut_density,
-        cut_size_coeff=cut_density * alpha_min**2 / 8.0,
-        cut_size_coeff_free=(
-            removal + 2.0 if cut_size_coeff_free is None else cut_size_coeff_free
-        ),
         growth_factor=log_n / (25.0 * q),
         stop_size=alpha_min**2 * n / (5000.0 * q**2),
     )
-    return consts
 
 
 @dataclass(frozen=True)
@@ -339,7 +313,7 @@ def expansion_trace(
         b_side=b_filter,
         forward=forward,
         backward=backward,
-        core_fraction_bound=1.0 - constants.removal_coeff_2 / log_n,
+        core_fraction_bound=1.0 - (constants.removal_coeff + 2.0) / log_n,
         min_core_adjacency_same=min_same,
         min_core_adjacency_color2=min_c2,
         core_adjacency_bound=constants.degree_cutoff - constants.overlap_cap,

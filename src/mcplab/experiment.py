@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 from .audit import isolated_color_vertices
 from .errors import NoPerfectMatchingError, ValidationError
-from .graphs import ColorProfile, ColorSpec, Matching
+from .graphs import ColoredBipartiteGraph, ColorProfile, ColorSpec, Matching
 from .matching import monochromatic_perfect_matching
-from .oracle import DP_LIMIT, enumerate_mcp
+from .oracle import DP_LIMIT, Q_LIMIT, enumerate_mcp
 from .recolor import achieve_profile
 from .rng import derive_seed
 from .sampling import SampleParams, sample_graph
@@ -82,9 +82,10 @@ class ExperimentConfig:
             for prof in self.suite_profiles:
                 if len(prof) != self.colors.q or sum(prof) != self.n:
                     raise ValidationError(f"bad suite profile {prof}")
-        if self.checks.mcp_exact and self.n > DP_LIMIT:
+        if self.checks.mcp_exact and (self.n > DP_LIMIT or self.colors.q > Q_LIMIT):
             raise ValidationError(
-                f"mcp_exact check requires n <= {DP_LIMIT}, got n={self.n}"
+                f"mcp_exact check requires n <= {DP_LIMIT} and q <= {Q_LIMIT}, "
+                f"got n={self.n}, q={self.colors.q}"
             )
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
@@ -157,6 +158,16 @@ def profile_suite(config: ExperimentConfig, trial_seed: int) -> tuple[tuple[int,
     return tuple(dict.fromkeys(suite))
 
 
+def _monochromatic_start(
+    g: ColoredBipartiteGraph, color: int
+) -> Matching | NoPerfectMatchingError:
+    """The color's perfect matching, or the error carrying its Hall witness."""
+    try:
+        return monochromatic_perfect_matching(g, color)
+    except NoPerfectMatchingError as exc:
+        return exc.with_traceback(None)  # drop the search's frames
+
+
 def run_trial(
     config: ExperimentConfig, grid_index: int, trial_index: int
 ) -> TrialRecord:
@@ -168,19 +179,15 @@ def run_trial(
     g = sample_graph(SampleParams(config.n, p, config.colors, seed))
     q = config.colors.q
 
-    pm_cache: dict[int, Matching | None] = {}
-
-    def mono_pm(color: int) -> Matching | None:
-        if color not in pm_cache:
-            try:
-                pm_cache[color] = monochromatic_perfect_matching(g, color)
-            except NoPerfectMatchingError:
-                pm_cache[color] = None
-        return pm_cache[color]
+    # Both checks need every color's result (the walk suite holds all q
+    # corners), so each color's Hopcroft-Karp runs exactly once per trial.
+    starts: list[Matching | NoPerfectMatchingError] = []
+    if config.checks.per_color_pm or config.checks.walk:
+        starts = [_monochromatic_start(g, i) for i in range(1, q + 1)]
 
     pm_success = None
     if config.checks.per_color_pm:
-        pm_success = tuple(mono_pm(i) is not None for i in range(1, q + 1))
+        pm_success = tuple(isinstance(s, Matching) for s in starts)
 
     isolated = None
     if config.checks.isolated:
@@ -197,10 +204,9 @@ def run_trial(
         for k, prof in enumerate(profile_suite(config, seed)):
             best = max(prof)
             i_star = prof.index(best) + 1
-            start = mono_pm(i_star)
             t0 = time.perf_counter()
             outcome = achieve_profile(
-                g, prof, derive_seed(seed, _WALK_SALT, k), start=start
+                g, prof, derive_seed(seed, _WALK_SALT, k), start=starts[i_star - 1]
             )
             ms = (time.perf_counter() - t0) * 1000.0
             rows.append(
@@ -466,37 +472,43 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def parse_omega(token: str, n: int) -> float:
     tok = token.strip()
+    scale = 1.0
     if tok.endswith("llog"):
-        head = tok[: -len("llog")].rstrip("*").strip()
-        if head in ("", "+"):
-            k = 1.0
-        elif head == "-":
-            k = -1.0
-        else:
-            k = float(head)
-        return k * math.log(math.log(n))
-    return float(tok)
+        if n < 2:
+            raise ValidationError(f"k*llog needs n >= 2 for log log n, got n={n}")
+        tok = tok[: -len("llog")].rstrip("*").strip()
+        tok = {"": "1", "+": "1", "-": "-1"}.get(tok, tok)
+        scale = math.log(math.log(n))
+    try:
+        return float(tok) * scale
+    except ValueError:
+        raise ValidationError(f"bad omega {token!r}: expected a number or k*llog") from None
 
 
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     try:
         n = int(raw["n"])
         alphas = tuple(float(t) for t in raw["alpha"].split(","))
+        q = int(raw.get("q", len(alphas)))
         trials = int(raw.get("trials", "1"))
         base_seed = int(raw.get("base_seed", "1"))
+        grid = tuple(
+            parse_omega(tok, n)
+            for tok in raw.get("omega_grid", "0").split(",")
+            if tok.strip()
+        )
+        suite_kind, suite_count, suite_profiles = parse_suite(
+            raw.get("profile_suite", "corners")
+        )
+        workers = int(raw.get("workers", "1"))
     except KeyError as exc:
         raise ValidationError(f"config missing key {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ValidationError(f"bad config value: {exc}") from None
     colors = ColorSpec(len(alphas), alphas)
-    if "q" in raw and int(raw["q"]) != colors.q:
+    if q != colors.q:
         raise ValidationError("q does not match the number of alphas")
-    grid = tuple(
-        parse_omega(tok, n) for tok in raw.get("omega_grid", "0").split(",") if tok.strip()
-    )
-    suite_kind, suite_count, suite_profiles = parse_suite(raw.get("profile_suite", "corners"))
     checks = parse_checks(raw.get("checks", "per_color_pm,walk,isolated"))
-    workers = int(raw.get("workers", "1"))
     return ExperimentConfig(
         n=n,
         colors=colors,

@@ -11,7 +11,7 @@ from collections import deque
 from typing import Iterable
 
 from .errors import LabError, NoPerfectMatchingError, ValidationError
-from .graphs import UNMATCHED, ColoredBipartiteGraph, Matching
+from .graphs import UNMATCHED, ColoredBipartiteGraph, Matching, color_neighborhood
 
 _INF = float("inf")
 
@@ -150,8 +150,6 @@ def monochromatic_perfect_matching(
     if m.size == g.n:
         return m
     witness = hall_witness(g, color, m)
-    from .graphs import color_neighborhood  # local import avoids cycle at module load
-
     nbhd = color_neighborhood(g, witness, color)
     if len(nbhd) >= len(witness):
         raise LabError("extracted witness is not deficient")

@@ -2,9 +2,9 @@
 
 Ground truth for all solver testing, so the code here favors being
 obviously correct over being clever.  Two independent routes are provided:
-a subset dynamic program (default limit n <= 20, q <= 4) and a factorial
-brute force over all bijections (n <= 9).  Membership (``has_profile``) is
-answered by the same DP.
+a subset dynamic program (n <= DP_LIMIT = 20, q <= Q_LIMIT = 4) and a
+factorial brute force over all bijections (n <= NAIVE_LIMIT = 9).  The
+limits are fixed.  Membership (``has_profile``) is answered by the same DP.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ def _vertex_edges(g: ColoredBipartiteGraph, a: int) -> list[tuple[int, int]]:
     return out
 
 
-def enumerate_mcp(
-    g: ColoredBipartiteGraph, max_n: int = DP_LIMIT
-) -> set[ColorProfile]:
+def enumerate_mcp(g: ColoredBipartiteGraph) -> set[ColorProfile]:
     """{profile_of(g, M) : M a perfect matching of g}, by subset DP.
 
     State: a mask of used B-vertices (its popcount k means A-vertices
@@ -39,8 +37,8 @@ def enumerate_mcp(
     the popcount.  Processing masks in increasing numeric order is valid
     because adding a bit always increases the mask.
     """
-    if g.n > max_n:
-        raise InstanceTooLargeError(f"n={g.n} exceeds limit {max_n}")
+    if g.n > DP_LIMIT:
+        raise InstanceTooLargeError(f"n={g.n} exceeds limit {DP_LIMIT}")
     if g.q > Q_LIMIT:
         raise InstanceTooLargeError(f"q={g.q} exceeds limit {Q_LIMIT}")
     n, q = g.n, g.q
@@ -71,12 +69,10 @@ def enumerate_mcp(
     }
 
 
-def enumerate_mcp_naive(
-    g: ColoredBipartiteGraph, max_n: int = NAIVE_LIMIT
-) -> set[ColorProfile]:
+def enumerate_mcp_naive(g: ColoredBipartiteGraph) -> set[ColorProfile]:
     """Brute force over all n! bijections A -> B; the independent oracle."""
-    if g.n > max_n:
-        raise InstanceTooLargeError(f"n={g.n} exceeds naive limit {max_n}")
+    if g.n > NAIVE_LIMIT:
+        raise InstanceTooLargeError(f"n={g.n} exceeds naive limit {NAIVE_LIMIT}")
     n, q = g.n, g.q
     out: set[ColorProfile] = set()
     for perm in permutations(range(n)):
@@ -94,10 +90,9 @@ def enumerate_mcp_naive(
 
 
 def has_profile(
-    g: ColoredBipartiteGraph, profile: ColorProfile | tuple[int, ...],
-    max_n: int = DP_LIMIT,
+    g: ColoredBipartiteGraph, profile: ColorProfile | tuple[int, ...]
 ) -> bool:
-    """Membership test: whether ``profile`` is in ``enumerate_mcp(g, max_n)``,
-    the same subset DP."""
+    """Membership test: whether ``profile`` is in ``enumerate_mcp(g)``, the
+    same subset DP."""
     target = validate_profile_for(g, tuple(profile))
-    return target in enumerate_mcp(g, max_n)
+    return target in enumerate_mcp(g)

@@ -43,6 +43,7 @@ from .graphs import (
     ColoredBipartiteGraph,
     ColorProfile,
     Matching,
+    color_neighborhood,
     profile_of,
     validate_profile_for,
 )
@@ -267,14 +268,18 @@ def _search(
     return None, len(order)
 
 
-def _find_cycle(
+def find_recoloring_cycle(
     g: ColoredBipartiteGraph,
     m: Matching,
     from_color: int,
     to_color: int,
-    rng_seed: int,
+    rng_seed: int = 0,
 ) -> AlternatingCycle | None:
-    """Check the arguments, derive the search state from ``m`` and search."""
+    """A recoloring cycle for from_color -> to_color, or None if none found.
+
+    Takes an immutable ``Matching`` and rederives the search state from it,
+    so each call costs O(n) before the search starts.
+    """
     if from_color == to_color:
         raise ValidationError("from_color and to_color must differ")
     g._check_color(from_color)
@@ -293,21 +298,6 @@ def _find_cycle(
     return cyc
 
 
-def find_recoloring_cycle(
-    g: ColoredBipartiteGraph,
-    m: Matching,
-    from_color: int,
-    to_color: int,
-    rng_seed: int = 0,
-) -> AlternatingCycle | None:
-    """A recoloring cycle for from_color -> to_color, or None if none found.
-
-    Takes an immutable ``Matching`` and rederives the search state from it,
-    so each call costs O(n) before the search starts.
-    """
-    return _find_cycle(g, m, from_color, to_color, rng_seed)
-
-
 def recolor_step(
     g: ColoredBipartiteGraph,
     m: Matching,
@@ -316,7 +306,7 @@ def recolor_step(
     seed: int = 0,
 ) -> tuple[Matching, AlternatingCycle] | None:
     """Find and apply one recoloring cycle; None when the search fails."""
-    cyc = _find_cycle(g, m, from_color, to_color, seed)
+    cyc = find_recoloring_cycle(g, m, from_color, to_color, seed)
     if cyc is None:
         return None
     return _toggled(m, cyc), cyc
@@ -362,7 +352,7 @@ def achieve_profile(
     g: ColoredBipartiteGraph,
     target: ColorProfile | tuple[int, ...],
     seed: int = 0,
-    start: Matching | None = None,
+    start: Matching | NoPerfectMatchingError | None = None,
 ) -> WalkOutcome:
     """Walk from a monochromatic perfect matching to the target profile.
 
@@ -371,8 +361,9 @@ def achieve_profile(
     recoloring steps i* -> j.  On success the result's profile equals the
     target exactly, after exactly n - max(target) steps.
 
-    ``start`` may supply a known perfect matching monochromatic in i* to
-    skip recomputing it; it is validated before use.
+    ``start`` may supply a known perfect matching monochromatic in i*, or
+    the ``NoPerfectMatchingError`` that showed there is none, to skip
+    recomputing it; either is validated before use.
     """
     target = validate_profile_for(g, tuple(target))
     q, n = g.q, g.n
@@ -390,6 +381,16 @@ def achieve_profile(
             tuple(retries), tuple(ms_per_step),
         )
 
+    if isinstance(start, NoPerfectMatchingError):
+        if start.color != i_star:
+            raise ValidationError(
+                f"start error is for color {start.color}, not {i_star}"
+            )
+        if len(color_neighborhood(g, start.witness, i_star)) >= len(start.witness):
+            raise ValidationError("start error's witness is not deficient")
+        return WalkOutcome(
+            None, WalkFailure("no_monochromatic_start", i_star), report()
+        )
     if start is not None:
         if not start.is_perfect:
             raise ValidationError("start matching must be perfect")

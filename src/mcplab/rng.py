@@ -7,8 +7,7 @@ the i-th output of a SplitMix64 stream with seed ``s`` is
 
 where ``mix64`` is the SplitMix64 finalizer.  Because each output depends
 only on (seed, index), draws can be evaluated in any order (or vectorized)
-while remaining identical to consuming the stream sequentially.  Uniforms
-are ``value / 2**64`` in [0, 1).
+while remaining identical to consuming the stream sequentially.
 
 Derived seeds are chained stream values:
 
@@ -26,8 +25,6 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-TWO64 = float(2**64)
-
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer (64-bit avalanche)."""
@@ -40,11 +37,6 @@ def mix64(z: int) -> int:
 def stream_value(seed: int, index: int) -> int:
     """The ``index``-th 64-bit output of the SplitMix64 stream for ``seed``."""
     return mix64((seed + (index + 1) * GOLDEN) & MASK64)
-
-
-def stream_uniform(seed: int, index: int) -> float:
-    """The ``index``-th uniform draw in [0, 1)."""
-    return stream_value(seed, index) / TWO64
 
 
 def derive_seed(base: int, *parts: int) -> int:

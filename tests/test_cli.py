@@ -170,3 +170,34 @@ class TestSweep:
         with pytest.raises(SystemExit) as info:
             main(["sweep", "--format", "xml"])
         assert info.value.code == 2
+
+
+MALFORMED = {
+    "gen-alpha": ["gen", "--n", "4", "--alpha", "0.5,x", "--p", "0.5"],
+    "gen-no-p-or-omega": ["gen", "--n", "4", "--alpha", "0.5,0.5"],
+    "gen-omega": ["gen", "--n", "4", "--alpha", "0.5,0.5", "--omega", "abc"],
+    "gen-llog-n1": ["gen", "--n", "1", "--alpha", "1", "--omega", "llog"],
+    "walk-target": ["walk", "{graph}", "--target", "5,x"],
+    "match-colors": ["match", "{graph}", "--colors", "1,x"],
+    "audit-empty-cut": ["audit", "{graph}", "--empty-cut", "2", "x"],
+    "sweep-omega-grid": ["sweep", "--n", "10", "--alpha", "0.5,0.5", "--omega-grid=abc"],
+    "sweep-suite-random": ["sweep", "--n", "10", "--alpha", "0.5,0.5", "--suite", "random:x"],
+    "sweep-suite-explicit": ["sweep", "--n", "10", "--alpha", "0.5,0.5", "--suite", "explicit:1,a"],
+    "sweep-config-workers": ["sweep", "--config", "{config}"],
+    "sweep-mcp-exact-q5": [
+        "sweep", "--n", "10", "--alpha", "0.2,0.2,0.2,0.2,0.2",
+        "--checks", "mcp_exact", "--trials", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_token_is_usage_error(argv, graph_file, tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text("n = 10\nalpha = 0.5,0.5\nworkers = two\n")
+    argv = [a.format(graph=graph_file, config=config) for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the token itself
+        rc = exc.code
+    assert rc == 2

@@ -19,13 +19,8 @@ def small_constants(**overrides):
     """Hand-set thresholds for desk-size fixtures."""
     base = dict(
         removal_coeff=1.0,
-        removal_coeff_1=2.0,
-        removal_coeff_2=3.0,
         overlap_cap=1.0,
         degree_cutoff=1.0,
-        cut_density=1.0,
-        cut_size_coeff=1.0,
-        cut_size_coeff_free=1.0,
         growth_factor=0.5,
         stop_size=10.0,
     )
@@ -49,16 +44,9 @@ class TestDefaultConstants:
 
     def test_derived_relations(self):
         c = default_constants(1000, 3, 0.25)
-        assert c.removal_coeff_1 == pytest.approx(c.removal_coeff + 1)
-        assert c.removal_coeff_2 == pytest.approx(c.removal_coeff_1 + 1)
-        assert c.cut_size_coeff == pytest.approx(10.0 * 0.25**2 / 8.0)
         assert c.degree_cutoff == pytest.approx(math.log(1000) / 30.0)
         assert c.growth_factor == pytest.approx(math.log(1000) / 75.0)
         assert c.stop_size == pytest.approx(0.25**2 * 1000 / (5000 * 9))
-
-    def test_relation_enforced(self):
-        with pytest.raises(ValidationError):
-            ExpansionConstants(1, 3, 4, 1, 1, 1, 1, 1, 1, 1)
 
 
 class TestTrace:
@@ -137,5 +125,5 @@ class TestTrace:
         # desk-scale stop size is below 1, so the run stops immediately
         assert consts.stop_size < 1 and trace.forward.stop_layer == 0
         assert trace.core_fraction_bound == pytest.approx(
-            1 - consts.removal_coeff_2 / math.log(300)
+            1 - (consts.removal_coeff + 2) / math.log(300)
         )

@@ -4,8 +4,11 @@ import math
 
 import pytest
 
+import mcplab.experiment
+import mcplab.recolor
 from mcplab import CheckFlags, ColorSpec, ExperimentConfig, emit, run_trial, summarize, sweep
 from mcplab.errors import ValidationError
+from mcplab.matching import monochromatic_perfect_matching
 from mcplab.experiment import (
     CSV_HEADER,
     config_from_mapping,
@@ -53,8 +56,9 @@ class TestConfigValidation:
             small_config(suite_kind="random", suite_count=0)
 
     def test_mcp_exact_needs_small_n(self):
-        with pytest.raises(ValidationError):
-            small_config(n=50, checks=CheckFlags(mcp_exact=True))
+        for n, q in ((50, 2), (10, 5)):  # above DP_LIMIT, above Q_LIMIT
+            with pytest.raises(ValidationError):
+                small_config(n=n, colors=ColorSpec.uniform(q), checks=CheckFlags(mcp_exact=True))
 
     def test_nonfinite_omega_rejected(self):
         with pytest.raises(ValidationError):
@@ -178,6 +182,22 @@ class TestRunTrial:
         rec = run_trial(cfg, 0, 0)
         assert rec.mcp_profiles is not None
         assert rec.mcp_walk_agreement is True  # soundness of successful walks
+
+    def test_one_matching_per_color(self, monkeypatch):
+        # below threshold some color has no perfect matching; its walks
+        # must reuse the trial's result instead of rerunning Hopcroft-Karp
+        calls = []
+
+        def counting(g, color):
+            calls.append(color)
+            return monochromatic_perfect_matching(g, color)
+
+        monkeypatch.setattr(mcplab.experiment, "monochromatic_perfect_matching", counting)
+        monkeypatch.setattr(mcplab.recolor, "monochromatic_perfect_matching", counting)
+        cfg = small_config(omega_grid=(-3.0,), suite_kind="random", suite_count=3)
+        rec = run_trial(cfg, 0, 0)
+        assert False in rec.pm_success
+        assert sorted(calls) == [1, 2]
 
     def test_clamped_p_runs_edgeless(self):
         cfg = small_config(omega_grid=(-50.0,))

@@ -8,10 +8,12 @@ from mcplab import (
     ColorSpec,
     InvalidCycleError,
     Matching,
+    NoPerfectMatchingError,
     NoSourceEdgesError,
     SampleParams,
     achieve_profile,
     apply_cycle,
+    build_graph,
     enumerate_mcp,
     find_recoloring_cycle,
     monochromatic_perfect_matching,
@@ -23,7 +25,7 @@ from mcplab import (
     verify_matching,
 )
 from mcplab.errors import ValidationError
-from mcplab.recolor import ANCHOR_BUDGET
+from mcplab.recolor import ANCHOR_BUDGET, WalkFailure
 from mcplab.rng import stream_value
 
 
@@ -191,9 +193,21 @@ class TestAchieveProfile:
         assert profile_of(g, out.matching).counts == target
 
     def test_start_hint_rejected_when_wrong(self, f1):
-        wrong = Matching.from_pairs(2, [(0, 1), (1, 0)])  # monochromatic color 2
-        with pytest.raises(ValidationError):
-            achieve_profile(f1, (2, 0), seed=1, start=wrong)
+        for wrong in (
+            Matching.from_pairs(2, [(0, 1), (1, 0)]),  # monochromatic color 2
+            NoPerfectMatchingError(2, (0,)),  # an error for another color
+            NoPerfectMatchingError(1, (0,)),  # |N_1({0})| = 1: not deficient
+        ):
+            with pytest.raises(ValidationError):
+                achieve_profile(f1, (2, 0), seed=1, start=wrong)
+
+    def test_start_error_reports_no_start(self):
+        g = build_graph(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2)])
+        with pytest.raises(NoPerfectMatchingError) as info:
+            monochromatic_perfect_matching(g, 1)
+        out = achieve_profile(g, (2, 0), seed=1, start=info.value)
+        assert out == achieve_profile(g, (2, 0), seed=1)
+        assert out.failure == WalkFailure("no_monochromatic_start", 1)
 
     def test_start_hint_used(self, f3):
         start = identity_matching(3)
