@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     BadProfileSumError,
     ColorOutOfRangeError,
@@ -97,8 +99,35 @@ class ColorProfile:
         return cls(tuple(counts))
 
 
+def _edge_array(edges: Iterable[tuple[int, int, int]]) -> np.ndarray:
+    """Edges as an (E, 3) int64 array; anything else raises ValidationError."""
+    try:
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"edges must be (a, b, color) integer triples: {exc}") from None
+    if arr.size == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 3 or arr.dtype.kind not in "iu":
+        raise ValidationError(
+            f"edges must be (a, b, color) integer triples, got {arr.dtype} of shape {arr.shape}"
+        )
+    return arr.astype(np.int64, copy=False)
+
+
+def _split_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Per-row tuples of ``cols`` for ``rows`` sorted ascending (ties in order)."""
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    vals = cols.tolist()
+    return tuple(tuple(vals[bounds[i]:bounds[i + 1]]) for i in range(n))
+
+
 class ColoredBipartiteGraph:
-    """Immutable n-by-n bipartite graph with one color per edge."""
+    """Immutable n-by-n bipartite graph with one color per edge.
+
+    ``edges`` is any (E, 3) collection of integer (a, b, color) rows: an
+    iterable of triples or an ndarray.  Range and duplicate checks run in
+    numpy and raise for the first failing edge in input order.
+    """
 
     __slots__ = ("n", "q", "_color_of", "_adj_a", "_adj_b", "alphas", "__weakref__")
 
@@ -119,26 +148,35 @@ class ColoredBipartiteGraph:
         if self.alphas is not None and len(self.alphas) != q:
             raise ValidationError("alphas length must equal q")
 
-        color_of: dict[tuple[int, int], int] = {}
-        adj_a: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(q)]
-        adj_b: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(q)]
-        for a, b, c in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise IndexOutOfRangeError(f"edge ({a}, {b}) out of range for n={n}")
-            if not (1 <= c <= q):
-                raise ColorOutOfRangeError(f"color {c} out of range for q={q}")
-            if (a, b) in color_of:
-                raise DuplicateEdgeError(a, b)
-            color_of[(a, b)] = c
-            adj_a[c - 1][a].append(b)
-            adj_b[c - 1][b].append(a)
-        self._color_of = color_of
-        self._adj_a = tuple(
-            tuple(tuple(sorted(nbrs)) for nbrs in per_color) for per_color in adj_a
-        )
-        self._adj_b = tuple(
-            tuple(tuple(sorted(nbrs)) for nbrs in per_color) for per_color in adj_b
-        )
+        arr = _edge_array(edges)
+        a, b, c = arr[:, 0], arr[:, 1], arr[:, 2]
+        bad = (a < 0) | (a >= n) | (b < 0) | (b >= n) | (c < 1) | (c > q)
+        first_bad = int(np.argmax(bad)) if bad.any() else len(arr)
+        # Duplicates among the edges before the first out-of-range one, so the
+        # error raised is that of the first failing edge in input order.
+        key = a[:first_bad] * n + b[:first_bad]
+        order = np.argsort(key, kind="stable")
+        repeats = order[1:][np.diff(key[order]) == 0]
+        if repeats.size:
+            first_dup = int(repeats.min())
+            raise DuplicateEdgeError(int(a[first_dup]), int(b[first_dup]))
+        if first_bad < len(arr):
+            ea, eb, ec = (int(x) for x in arr[first_bad])
+            if not (0 <= ea < n and 0 <= eb < n):
+                raise IndexOutOfRangeError(f"edge ({ea}, {eb}) out of range for n={n}")
+            raise ColorOutOfRangeError(f"color {ec} out of range for q={q}")
+
+        a, b, c = a[order], b[order], c[order]
+        self._color_of = dict(zip(zip(a.tolist(), b.tolist()), c.tolist()))
+        adj_a, adj_b = [], []
+        for color in range(1, q + 1):
+            mask = c == color
+            ca, cb = a[mask], b[mask]
+            adj_a.append(_split_rows(n, ca, cb))
+            by_b = np.argsort(cb, kind="stable")
+            adj_b.append(_split_rows(n, cb[by_b], ca[by_b]))
+        self._adj_a = tuple(adj_a)
+        self._adj_b = tuple(adj_b)
 
     # -- queries ---------------------------------------------------------
 

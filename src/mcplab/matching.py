@@ -91,6 +91,15 @@ def _hopcroft_karp(n: int, adj: list[tuple[int, ...]]) -> tuple[list[int], list[
                 ptr.pop()
         return False
 
+    # Phase 1 of Hopcroft-Karp: with every vertex free, the first BFS puts
+    # each A-vertex at distance 0, so its DFS only takes a first free neighbour.
+    for a in range(n):
+        for b in adj[a]:
+            if match_b[b] == UNMATCHED:
+                match_a[a] = b
+                match_b[b] = a
+                break
+
     while bfs():
         for a in range(n):
             if match_a[a] == UNMATCHED:

@@ -84,12 +84,13 @@ def stream_values_strided2(seed: int, start: int, count: int) -> np.ndarray:
 
     Identical to ``stream_values_np(seed, 2 * arange(start, start+count))``;
     the Weyl increments for the stride-2 index pattern are cached because
-    the sampler's inclusion scan is by far the hottest RNG path.
+    the sampler's inclusion scan is by far the hottest RNG path.  The cache
+    holds the largest ``count`` asked for so far, which is the sampler's
+    chunk, so it stays as small as the chunk.
     """
     global _WEYL_STRIDE2
     if _WEYL_STRIDE2 is None or _WEYL_STRIDE2.size < count:
-        size = max(count, 1 << 20)
-        _WEYL_STRIDE2 = np.arange(size, dtype=np.uint64) * np.uint64(
+        _WEYL_STRIDE2 = np.arange(count, dtype=np.uint64) * np.uint64(
             (2 * GOLDEN) & MASK64
         )
     base = (seed + (2 * start + 1) * GOLDEN) & MASK64

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +69,66 @@ class TestBuildGraph:
     def test_color_out_of_range(self):
         with pytest.raises(ColorOutOfRangeError):
             build_graph(2, 2, [(0, 0, 3)])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1)], [("0", "1", "1")], [(0, 1.0, 1)], [(0, 1, 1.5)]],
+        ids=["pair", "strings", "float-index", "float-color"],
+    )
+    def test_malformed_edges_rejected(self, edges):
+        # Not (a, b, color) integer triples: no unpacking error, no truncation.
+        with pytest.raises(ValidationError):
+            build_graph(2, 2, edges)
+
+    def test_first_failing_edge_in_input_order(self):
+        with pytest.raises(DuplicateEdgeError):
+            build_graph(3, 2, [(0, 0, 1), (0, 0, 2), (5, 0, 1)])
+        with pytest.raises(IndexOutOfRangeError):
+            build_graph(3, 2, [(5, 0, 1), (0, 0, 1), (0, 0, 2)])
+        with pytest.raises(ColorOutOfRangeError):
+            build_graph(3, 2, [(0, 0, 3), (5, 0, 1)])
+
+
+class TestArrayEdges:
+    """An (E, 3) ndarray builds the same graph as a list of triples."""
+
+    def test_array_matches_shuffled_tuples(self):
+        n, q = 40, 3
+        rng = random.Random(5)
+        pairs = rng.sample([(a, b) for a in range(n) for b in range(n)], 500)
+        edges = [(a, b, rng.randint(1, q)) for a, b in pairs]
+        g_arr = build_graph(n, q, np.array(edges, dtype=np.int64))
+        rng.shuffle(edges)
+        g_tup = build_graph(n, q, edges)
+        assert g_arr == g_tup
+        assert list(g_arr.edges()) == list(g_tup.edges()) == sorted(edges)
+        for c in range(1, q + 1):
+            for v in range(n):
+                nbrs = g_tup.neighbors_a(v, c)
+                assert nbrs == tuple(sorted(nbrs)) == g_arr.neighbors_a(v, c)
+                nbrs = g_tup.neighbors_b(v, c)
+                assert nbrs == tuple(sorted(nbrs)) == g_arr.neighbors_b(v, c)
+
+    @pytest.mark.parametrize(
+        "edges, error",
+        [
+            ([(0, 1, 1), (2, 2, 2), (0, 1, 2)], DuplicateEdgeError),
+            ([(0, 1, 1), (0, 3, 1)], IndexOutOfRangeError),
+            ([(0, 1, 1), (-1, 0, 1)], IndexOutOfRangeError),
+            ([(0, 1, 1), (1, 1, 0)], ColorOutOfRangeError),
+        ],
+        ids=["duplicate", "index", "negative-index", "color"],
+    )
+    def test_array_errors(self, edges, error):
+        with pytest.raises(error) as info:
+            build_graph(3, 2, np.array(edges, dtype=np.int64))
+        with pytest.raises(error) as from_tuples:
+            build_graph(3, 2, edges)
+        assert str(info.value) == str(from_tuples.value)
+
+    def test_duplicate_names_the_pair(self):
+        with pytest.raises(DuplicateEdgeError, match=r"\(2, 1\)"):
+            build_graph(3, 2, np.array([(2, 1, 1), (0, 0, 1), (2, 1, 2)]))
 
 
 class TestProfileOf:

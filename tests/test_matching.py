@@ -1,14 +1,21 @@
+import hashlib
+import math
+
 import pytest
 
 from _refs import brute_max_matching_size, hall_holds
 from conftest import instance_grid, random_instance
 from mcplab import (
+    ColorSpec,
     Matching,
     NoPerfectMatchingError,
+    SampleParams,
     build_graph,
     color_neighborhood,
     max_matching,
     monochromatic_perfect_matching,
+    sample_graph,
+    threshold_p,
     verify_matching,
 )
 from mcplab.errors import ValidationError
@@ -46,6 +53,21 @@ class TestMaxMatching:
             m = max_matching(g, (1,))
             assert verify_matching(g, m) is None
             assert m.size == brute_max_matching_size(g, (1,))
+
+    def test_golden_digest(self):
+        # Pins Hopcroft-Karp's exact matchings (not just their sizes) on
+        # n = 1000 graphs at and above the window, per color and merged.
+        n, cs = 1000, ColorSpec(3, (0.5, 0.25, 0.25))
+        h = hashlib.sha256()
+        for omega in (0.0, 3 * math.log(math.log(n))):
+            for seed in (11, 12):
+                p = threshold_p(n, omega, cs.alpha_min)
+                g = sample_graph(SampleParams(n, p, cs, seed))
+                for colors in ((1,), (2,), (3,), (1, 2, 3)):
+                    h.update(repr(max_matching(g, colors).assign).encode())
+        assert h.hexdigest() == (
+            "191bbf09ed2791dd8593e353773a36c2f965eb1e55371c660aacc295b296b48a"
+        )
 
 
 class TestMonochromaticPerfectMatching:

@@ -72,10 +72,12 @@ class TestSampleGraph:
         g2 = sample_graph(SampleParams(40, 0.15, cs, 2))
         assert g1 != g2
 
-    def test_draw_order_contract(self):
+    # n = 300 has 90,000 slots, so the inclusion scan crosses a chunk boundary.
+    @pytest.mark.parametrize("n", [13, 300], ids=["n13", "n300"])
+    def test_draw_order_contract(self, n):
         # Independent scalar re-derivation of the documented construction:
         # edge (a, b) owns stream slots 2*(a*n+b) and 2*(a*n+b)+1.
-        n, p, seed = 13, 0.35, 77
+        p, seed = 0.35, 77
         alphas = (0.2, 0.5, 0.3)
         cum = [0.2, 0.7, 1.0]
         expected = []

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,3 +39,27 @@ def test_script_runs(script, args):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    summarize = _load_script("bench_pairs").summarize
+    parent, change = [1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 2.0, 4.0, 3.0, 6.0]
+    higher = summarize(parent, change, "higher")
+    assert (higher["pairs"], higher["change_wins"], higher["ties"]) == (5, 3, 1)
+    assert higher["parent"]["median"] == 3.0 and higher["change"]["median"] == 3.0
+    assert (higher["parent"]["q1"], higher["parent"]["q3"], higher["parent"]["iqr"]) == (2.0, 4.0, 2.0)
+    assert higher["change"]["values"] == change
+    # Lower is better: the same pairs give the one remaining win; the tie counts for neither.
+    lower = summarize(parent, change, "lower")
+    assert (lower["change_wins"], lower["ties"]) == (1, 1)
+    single = summarize([2.0], [1.0], "lower")
+    assert single["change_wins"] == 1 and single["parent"]["iqr"] == 0.0
+    with pytest.raises(ValueError):
+        summarize([1.0], [1.0, 2.0], "higher")
