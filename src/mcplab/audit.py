@@ -38,8 +38,9 @@ def isolated_color_vertices(
     realizable by any perfect matching.
     """
     g._check_color(color)
-    a_side = tuple(a for a in range(g.n) if not g.neighbors_a(a, color))
-    b_side = tuple(b for b in range(g.n) if not g.neighbors_b(b, color))
+    a_rows, b_rows = g._adj_a[color - 1], g._adj_b[color - 1]
+    a_side = tuple(a for a in range(g.n) if not a_rows[a])
+    b_side = tuple(b for b in range(g.n) if not b_rows[b])
     return a_side, b_side
 
 

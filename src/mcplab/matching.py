@@ -8,7 +8,7 @@ in BFS-layer order, so results depend only on the graph and the color set.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import LabError, NoPerfectMatchingError, ValidationError
 from .graphs import UNMATCHED, ColoredBipartiteGraph, Matching, color_neighborhood
@@ -18,20 +18,21 @@ _INF = float("inf")
 
 def _merged_adjacency(
     g: ColoredBipartiteGraph, colors: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    if len(colors) == 1:
-        c = colors[0]
-        return [g.neighbors_a(a, c) for a in range(g.n)]
+) -> Sequence[tuple[int, ...]]:
+    """Per A-vertex sorted B-neighbors over ``colors``; the caller checks the colors."""
+    rows = [g._adj_a[c - 1] for c in colors]
+    if len(rows) == 1:
+        return rows[0]
     adj = []
     for a in range(g.n):
         merged: list[int] = []
-        for c in colors:
-            merged.extend(g.neighbors_a(a, c))
+        for row in rows:
+            merged.extend(row[a])
         adj.append(tuple(sorted(merged)))
     return adj
 
 
-def _hopcroft_karp(n: int, adj: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+def _hopcroft_karp(n: int, adj: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
     match_a = [UNMATCHED] * n
     match_b = [UNMATCHED] * n
     dist = [0.0] * n
@@ -129,7 +130,8 @@ def hall_witness(
     Returns the A-vertices reachable by alternating paths from the unmatched
     A-vertices; for a maximum matching this set S satisfies |N(S)| < |S|.
     """
-    adj = [g.neighbors_a(a, color) for a in range(g.n)]
+    g._check_color(color)
+    adj = g._adj_a[color - 1]
     match_b = m.inverse
     seen = [False] * g.n
     queue: deque[int] = deque()

@@ -1,10 +1,15 @@
 """Exact perfect-matching color-profile sets for small instances.
 
-Ground truth for all solver testing, so the code here favors being
-obviously correct over being clever.  Two independent routes are provided:
-a subset dynamic program (n <= DP_LIMIT = 20, q <= Q_LIMIT = 4) and a
-factorial brute force over all bijections (n <= NAIVE_LIMIT = 9).  The
-limits are fixed.  Membership (``has_profile``) is answered by the same DP.
+Ground truth for all solver testing.  ``enumerate_mcp`` is a subset dynamic
+program (n <= DP_LIMIT = 20, q <= Q_LIMIT = 4) that keeps one Python int per
+mask of used B-vertices: bit sum_i m_i (n+1)^(i-1) of that int is set when
+the partial profile (m_1, ..., m_{q-1}) is achievable.  An edge of color
+c < q shifts the int by (n+1)^(c-1), color q shifts it by 0, and m_q is
+implied by the popcount.  Each entry is freed once it has been read.
+``enumerate_mcp_naive`` is a factorial brute force over all bijections
+(n <= NAIVE_LIMIT = 9); it and the set-of-tuples DP in ``tests/_refs.py``
+share no code with the bitset DP and are its independent checks.  The limits
+are fixed.  Membership (``has_profile``) is answered by the same DP.
 """
 
 from __future__ import annotations
@@ -19,54 +24,50 @@ NAIVE_LIMIT = 9
 Q_LIMIT = 4
 
 
-def _vertex_edges(g: ColoredBipartiteGraph, a: int) -> list[tuple[int, int]]:
-    """(b, color) pairs for A-vertex ``a``, sorted by b."""
-    out: list[tuple[int, int]] = []
-    for c in range(1, g.q + 1):
-        out.extend((b, c) for b in g.neighbors_a(a, c))
-    out.sort()
-    return out
-
-
 def enumerate_mcp(g: ColoredBipartiteGraph) -> set[ColorProfile]:
-    """{profile_of(g, M) : M a perfect matching of g}, by subset DP.
+    """{profile_of(g, M) : M a perfect matching of g}, by bitset subset DP.
 
-    State: a mask of used B-vertices (its popcount k means A-vertices
-    0..k-1 are placed) mapped to the set of achievable partial profiles.
-    Profiles are stored as (q-1)-tuples; the last coordinate is implied by
-    the popcount.  Processing masks in increasing numeric order is valid
-    because adding a bit always increases the mask.
+    ``dp[mask]`` describes the matchings of A-vertices 0..k-1 onto the
+    B-vertices in ``mask`` (k is its popcount): bit sum_i m_i (n+1)^(i-1)
+    is set when one of them has m_i edges of color i for i < q.  Since
+    m_i <= n < n+1, the digits never carry.  Placing A-vertex k on B-vertex
+    b through a color-c edge ORs ``dp[mask] << (n+1)^(c-1)`` into
+    ``dp[mask | 1<<b]``, with shift 0 for c = q, whose count is k minus the
+    others.  Masks are read in increasing order, which is valid because an
+    edge always adds a bit, and each entry is zeroed once read so that its
+    int is freed.  The set bits of the full mask decode, by divmod by n+1,
+    into the profiles.
     """
     if g.n > DP_LIMIT:
         raise InstanceTooLargeError(f"n={g.n} exceeds limit {DP_LIMIT}")
     if g.q > Q_LIMIT:
         raise InstanceTooLargeError(f"q={g.q} exceeds limit {Q_LIMIT}")
     n, q = g.n, g.q
-    edges_by_vertex = [_vertex_edges(g, a) for a in range(n)]
-    empty = (0,) * (q - 1)
-    dp: dict[int, set[tuple[int, ...]]] = {0: {empty}}
-    for mask in range(1 << n):
-        profiles = dp.get(mask)
-        if not profiles:
+    shifts = [(n + 1) ** (c - 1) for c in range(1, q)] + [0]
+    moves = [
+        [(1 << b, shifts[c - 1]) for c in range(1, q + 1) for b in g.neighbors_a(a, c)]
+        for a in range(n)
+    ]
+    full = (1 << n) - 1
+    dp = [0] * (full + 1)
+    dp[0] = 1
+    for mask in range(full):
+        bits = dp[mask]
+        if not bits:
             continue
-        k = mask.bit_count()
-        if k == n:
-            continue
-        for b, c in edges_by_vertex[k]:
-            bit = 1 << b
-            if mask & bit:
-                continue
-            bucket = dp.setdefault(mask | bit, set())
-            if c == q:
-                bucket.update(profiles)
-            else:
-                i = c - 1
-                for prof in profiles:
-                    bucket.add(prof[:i] + (prof[i] + 1,) + prof[i + 1 :])
-    final = dp.get((1 << n) - 1, set())
-    return {
-        ColorProfile(prof + (n - sum(prof),)) for prof in final
-    }
+        dp[mask] = 0
+        for bit, shift in moves[mask.bit_count()]:
+            if not mask & bit:
+                dp[mask | bit] |= bits << shift
+    out: set[ColorProfile] = set()
+    for index, digit in enumerate(reversed(bin(dp[full])[2:])):
+        if digit == "1":
+            prof = []
+            for _ in range(q - 1):
+                index, m = divmod(index, n + 1)
+                prof.append(m)
+            out.add(ColorProfile((*prof, n - sum(prof))))
+    return out
 
 
 def enumerate_mcp_naive(g: ColoredBipartiteGraph) -> set[ColorProfile]:

@@ -7,6 +7,8 @@ that shares nothing with them.
 
 from itertools import combinations
 
+from mcplab import ColorProfile
+
 
 def brute_max_matching_size(g, colors) -> int:
     """Maximum matching size by recursion over A-vertices with a B-bitmask."""
@@ -36,6 +38,44 @@ def brute_max_matching_size(g, colors) -> int:
 
     rec(0, 0, 0)
     return best
+
+
+def mcp_set_dp(g) -> set:
+    """MCP(g) by a subset DP that keeps a set of profile tuples per mask.
+
+    State: a mask of used B-vertices (its popcount k means A-vertices
+    0..k-1 are placed) mapped to the set of achievable partial profiles.
+    Profiles are stored as (q-1)-tuples; the last coordinate is implied by
+    the popcount.  Processing masks in increasing numeric order is valid
+    because adding a bit always increases the mask.
+    """
+    n, q = g.n, g.q
+    edges_by_vertex = []
+    for a in range(n):
+        edges = [(b, c) for c in range(1, q + 1) for b in g.neighbors_a(a, c)]
+        edges_by_vertex.append(sorted(edges))
+    empty = (0,) * (q - 1)
+    dp = {0: {empty}}
+    for mask in range(1 << n):
+        profiles = dp.get(mask)
+        if not profiles:
+            continue
+        k = mask.bit_count()
+        if k == n:
+            continue
+        for b, c in edges_by_vertex[k]:
+            bit = 1 << b
+            if mask & bit:
+                continue
+            bucket = dp.setdefault(mask | bit, set())
+            if c == q:
+                bucket.update(profiles)
+            else:
+                i = c - 1
+                for prof in profiles:
+                    bucket.add(prof[:i] + (prof[i] + 1,) + prof[i + 1 :])
+    final = dp.get((1 << n) - 1, set())
+    return {ColorProfile(prof + (n - sum(prof),)) for prof in final}
 
 
 def hall_holds(g, color) -> bool:

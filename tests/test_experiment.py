@@ -295,10 +295,10 @@ class TestSweepAndEmit:
         assert any(r["ms"] > 0.0 for r in rows_t if r["check"] == "walk")
 
     @pytest.mark.parametrize(
-        "n, omega_grid, trials, suite_count, want",
+        "n, omega_grid, trials, suite_count, mcp_exact, want",
         [
             pytest.param(
-                60, (-2.0, 3.0), 3, 4,
+                60, (-2.0, 3.0), 3, 4, False,
                 {
                     "csv": "38636d33802bd9c3ca7f876880b39c605b13b9661ca2e5e6c2dad99ab34fc95b",
                     "jsonl": "c9033725c5db58737e16b1f28c0e0d57651edc7117ecbc3a143f0419df6960ab",
@@ -308,16 +308,26 @@ class TestSweepAndEmit:
             # more than 277 source-color anchors: random.sample switches from
             # copying a pool to set-based rejection, so both draw paths are pinned
             pytest.param(
-                400, (3.0,), 2, 2,
+                400, (3.0,), 2, 2, False,
                 {
                     "csv": "349421b1664f6d172db79f9fb71ae66d7a1363baff1292cc0f280919becc5be8",
                     "jsonl": "c6376137cb0ce2ecbb905bbe64ce038face2cb4ff90d7b75ed41183123623f4e",
                 },
                 id="n400",
             ),
+            # mcp_exact on: pins the exact oracle's rows (profile count and
+            # walk agreement) below and inside the window
+            pytest.param(
+                14, (-1.0, 0.5), 3, 4, True,
+                {
+                    "csv": "a1c73067eecbe86986c9fb32e00109ce46d4ab0466cb534ba49d50db49cd7efe",
+                    "jsonl": "9896b39d02f3d2c945f90cb39fc0b7ba730a494c7da3ffb4d7550b836fa0449f",
+                },
+                id="n14_mcp_exact",
+            ),
         ],
     )
-    def test_golden_digest(self, n, omega_grid, trials, suite_count, want):
+    def test_golden_digest(self, n, omega_grid, trials, suite_count, mcp_exact, want):
         # Pinned emit bytes for fixed sweeps whose walks take hundreds of
         # steps; a refactor of sampling, matching or the walk must leave them
         # as is.
@@ -329,6 +339,7 @@ class TestSweepAndEmit:
             base_seed=7,
             suite_kind="random",
             suite_count=suite_count,
+            checks=CheckFlags(mcp_exact=mcp_exact),
         )
         records = sweep(cfg)
         digests = {}

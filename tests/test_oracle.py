@@ -1,7 +1,11 @@
+import hashlib
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _refs import mcp_set_dp
 from conftest import instance_grid, random_instance
 from mcplab import (
     BadProfileSumError,
@@ -15,6 +19,7 @@ from mcplab import (
     max_matching,
     monochromatic_perfect_matching,
 )
+from mcplab.rng import derive_seed
 
 
 def counts(profiles):
@@ -94,6 +99,20 @@ class TestAgreement:
         for k, g in enumerate(instance_grid(80, base_seed=4321)):
             assert enumerate_mcp(g) == enumerate_mcp_naive(g), f"instance {k}"
 
+    def test_dp_equals_set_dp_above_naive_limit(self):
+        # n = 10..13 is past the brute force's reach; the set-of-tuples DP
+        # shares no code with the bitset DP.
+        grid = instance_grid(40, base_seed=1013, n_range=(10, 13), qs=(2, 3, 4))
+        for k, g in enumerate(grid):
+            assert enumerate_mcp(g) == mcp_set_dp(g), f"instance {k}"
+
+    @pytest.mark.parametrize("q", [1, 4])
+    def test_dp_equals_naive_encoding_edges(self, q):
+        # q = 1: every edge shifts by 0 and no coordinate is stored;
+        # q = 4: three stored coordinates, the widest encoding.
+        for k, g in enumerate(instance_grid(30, base_seed=77 + q, n_range=(1, 8), qs=(q,))):
+            assert enumerate_mcp(g) == enumerate_mcp_naive(g), f"instance {k}"
+
     def test_profiles_sum_to_n(self):
         for g in instance_grid(30, base_seed=99):
             for p in enumerate_mcp(g):
@@ -146,3 +165,31 @@ class TestAgreement:
 def test_dp_equals_naive_property(seed, n, q, p):
     g = random_instance(seed, n, q, p)
     assert enumerate_mcp(g) == enumerate_mcp_naive(g)
+
+
+def pinned_graphs():
+    """Seeded graphs at n in {1, 8, 12, 14} and q in {1, ..., 4}: one
+    edgeless graph per (n, q), then omega below, inside and above the window,
+    with p = q (ln n + omega) / n clipped to [0, 1]."""
+    for n in (1, 8, 12, 14):
+        for q in (1, 2, 3, 4):
+            yield build_graph(n, q, [])
+            for k, omega in enumerate((-2.0, 0.0, 3.0)):
+                p = min(1.0, max(0.0, q * (math.log(n) + omega) / n))
+                yield random_instance(derive_seed(1717, n, q, k), n, q, p)
+
+
+def test_profile_sets_pinned():
+    # sha256 of every pinned graph's sorted profile set, taken from the
+    # set-of-tuples DP; any change to enumerate_mcp must keep each set.
+    h = hashlib.sha256()
+    sizes = []
+    for g in pinned_graphs():
+        profiles = counts(enumerate_mcp(g))
+        sizes.append(len(profiles))
+        h.update(repr(profiles).encode())
+        h.update(b"\n")
+    assert sum(sizes) == 3057
+    assert h.hexdigest() == (
+        "c3504911cd6924829b1352baebdb946534979b8902145338850144143e0c31c8"
+    )
