@@ -80,7 +80,7 @@ class ExperimentConfig:
             if not self.suite_profiles:
                 raise ValidationError("explicit profile suite is empty")
             for prof in self.suite_profiles:
-                if len(prof) != self.colors.q or sum(prof) != self.n:
+                if len(prof) != self.colors.q or sum(prof) != self.n or min(prof) < 0:
                     raise ValidationError(f"bad suite profile {prof}")
         if self.checks.mcp_exact and (self.n > DP_LIMIT or self.colors.q > Q_LIMIT):
             raise ValidationError(

@@ -15,13 +15,15 @@ A-side to the backward tree's B-side closes a cycle through (a0, b0).  The
 search runs over the whole graph (no core restriction): discarding vertices
 only ever removes reachable cycles.
 
-Walk state: ``achieve_profile`` keeps the matching in mutable arrays for the
-whole walk (``assign``, ``inverse``, each A-vertex's matched color, and the
-sorted source-color anchors) and toggles each cycle in place, so besides the
-search a step does O(cycle length + anchor draws) Python-level work rather
-than O(n).  The search core validates every cycle it returns, once per step,
-and one ``Matching`` is built at the end.  The public step functions take and
-return immutable ``Matching``s.
+Walk state: ``_WalkState`` is the one place where a perfect matching becomes
+mutable arrays (``assign``, ``inverse``, each A-vertex's matched color, and
+the source-color anchors in increasing order); its constructor checks the
+matching once.  Its one ``step`` re-verifies the cycle it finds and toggles
+it in place, so besides the search a step does O(cycle length + anchor
+draws) Python-level work.  ``achieve_profile`` steps one state for the whole
+walk and builds one ``Matching`` at the end.  The public step functions build
+a fresh state per call, because they take and return immutable
+``Matching``s, so each call costs O(n) by design.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ def validate_cycle(
     g: ColoredBipartiteGraph, m: Matching, cycle: AlternatingCycle
 ) -> str | None:
     """Return None if the cycle satisfies every invariant, else the violated clause."""
+    if len(m.assign) != g.n:
+        return f"matching has {len(m.assign)} A-vertices, graph has {g.n}"
     return _cycle_violation(g, m.assign, cycle)
 
 
@@ -111,13 +115,6 @@ def _cycle_violation(
     return None
 
 
-def _toggled(m: Matching, cycle: AlternatingCycle) -> Matching:
-    assign = list(m.assign)
-    for a, b in zip(cycle.a_seq, cycle.b_seq):
-        assign[a] = b
-    return Matching(tuple(assign))
-
-
 def apply_cycle(
     g: ColoredBipartiteGraph, m: Matching, cycle: AlternatingCycle
 ) -> Matching:
@@ -128,17 +125,10 @@ def apply_cycle(
     clause = validate_cycle(g, m, cycle)
     if clause is not None:
         raise InvalidCycleError(clause)
-    return _toggled(m, cycle)
-
-
-def _matching_colors(g: ColoredBipartiteGraph, m: Matching) -> list[int]:
-    cols = []
-    for a, b in enumerate(m.assign):
-        c = g.color_of(a, b)
-        if c is None:
-            raise ValidationError(f"matched pair ({a}, {b}) is not an edge")
-        cols.append(c)
-    return cols
+    assign = list(m.assign)
+    for a, b in zip(cycle.a_seq, cycle.b_seq):
+        assign[a] = b
+    return Matching(tuple(assign))
 
 
 def _splice(
@@ -239,33 +229,67 @@ def _search_from_anchor(
     return None
 
 
-def _search(
-    g: ColoredBipartiteGraph,
-    assign: Sequence[int],
-    inverse: Sequence[int],
-    match_colors: list[int],
-    anchors: list[int],
-    from_color: int,
-    to_color: int,
-    rng_seed: int,
-) -> tuple[AlternatingCycle | None, int]:
-    """Search core over a perfect matching's arrays.
+class _WalkState:
+    """A perfect matching as mutable arrays, for steps out of one source color.
 
-    ``anchors`` are the A-vertices matched in ``from_color``, in increasing
-    order; the seeded draw from them fixes which anchors are tried.  Returns
-    (cycle or None, anchors tried).
+    ``colors[a]`` is A-vertex a's matched color and ``anchors`` the A-vertices
+    matched in the source color, in increasing order.
     """
-    order = random.Random(rng_seed).sample(anchors, min(len(anchors), ANCHOR_BUDGET))
-    for tried, a0 in enumerate(order, start=1):
-        cyc = _search_from_anchor(
-            g, assign, inverse, from_color, to_color, a0, match_colors
-        )
-        if cyc is not None:
-            clause = _cycle_violation(g, assign, cyc)  # re-verify, never trust the search
-            if clause is not None:
-                raise InvalidCycleError(f"search produced a bad cycle: {clause}")
-            return cyc, tried
-    return None, len(order)
+
+    def __init__(self, g: ColoredBipartiteGraph, m: Matching, source: int):
+        if len(m.assign) != g.n or not m.is_perfect:
+            raise ValidationError(f"matching must be perfect on {g.n} A-vertices")
+        colors = []
+        for a, b in enumerate(m.assign):
+            c = g.color_of(a, b)
+            if c is None:
+                raise ValidationError(f"matched pair ({a}, {b}) is not an edge")
+            colors.append(c)
+        self.g, self.source, self.colors = g, source, colors
+        self.assign, self.inverse = list(m.assign), list(m.inverse)
+        self.anchors = [a for a in range(g.n) if colors[a] == source]
+
+    def step(self, to_color: int, seed: int) -> tuple[AlternatingCycle | None, int]:
+        """Find a source -> to_color cycle and toggle it in place.
+
+        The seeded draw from the anchors fixes which are tried.  Returns
+        (cycle or None, anchors tried).
+        """
+        g, assign, inverse = self.g, self.assign, self.inverse
+        colors, anchors, source = self.colors, self.anchors, self.source
+        order = random.Random(seed).sample(anchors, min(len(anchors), ANCHOR_BUDGET))
+        for tried, a0 in enumerate(order, start=1):
+            cyc = _search_from_anchor(g, assign, inverse, source, to_color, a0, colors)
+            if cyc is not None:
+                clause = _cycle_violation(g, assign, cyc)  # re-verify, never trust the search
+                if clause is not None:
+                    raise InvalidCycleError(f"search produced a bad cycle: {clause}")
+                for a, b in zip(cyc.a_seq, cyc.b_seq):
+                    assign[a] = b
+                    inverse[b] = a
+                # exactly one A-vertex (the special edge's endpoint) leaves the source color
+                a = cyc.a_seq[cyc.special_index]
+                colors[a] = to_color
+                del anchors[bisect_left(anchors, a)]
+                return cyc, tried
+        return None, len(order)
+
+    def matching(self) -> Matching:
+        return Matching(tuple(self.assign))
+
+
+def _public_step(
+    g: ColoredBipartiteGraph, m: Matching, from_color: int, to_color: int, seed: int
+) -> tuple[_WalkState, AlternatingCycle | None]:
+    """The public step functions' core: argument checks, a fresh state, one step."""
+    if from_color == to_color:
+        raise ValidationError("from_color and to_color must differ")
+    g._check_color(from_color)
+    g._check_color(to_color)
+    state = _WalkState(g, m, from_color)
+    if not state.anchors:
+        raise NoSourceEdgesError(f"matching has no edge of color {from_color}")
+    return state, state.step(to_color, seed)[0]
 
 
 def find_recoloring_cycle(
@@ -277,25 +301,10 @@ def find_recoloring_cycle(
 ) -> AlternatingCycle | None:
     """A recoloring cycle for from_color -> to_color, or None if none found.
 
-    Takes an immutable ``Matching`` and rederives the search state from it,
+    Takes an immutable ``Matching`` and rederives the walk state from it,
     so each call costs O(n) before the search starts.
     """
-    if from_color == to_color:
-        raise ValidationError("from_color and to_color must differ")
-    g._check_color(from_color)
-    g._check_color(to_color)
-    if not m.is_perfect:
-        raise ValidationError("matching must be perfect")
-    match_colors = _matching_colors(g, m)
-    anchors = [a for a in range(g.n) if match_colors[a] == from_color]
-    if not anchors:
-        raise NoSourceEdgesError(
-            f"matching has no edge of color {from_color}"
-        )
-    cyc, _ = _search(
-        g, m.assign, m.inverse, match_colors, anchors, from_color, to_color, rng_seed
-    )
-    return cyc
+    return _public_step(g, m, from_color, to_color, rng_seed)[1]
 
 
 def recolor_step(
@@ -306,10 +315,8 @@ def recolor_step(
     seed: int = 0,
 ) -> tuple[Matching, AlternatingCycle] | None:
     """Find and apply one recoloring cycle; None when the search fails."""
-    cyc = find_recoloring_cycle(g, m, from_color, to_color, seed)
-    if cyc is None:
-        return None
-    return _toggled(m, cyc), cyc
+    state, cyc = _public_step(g, m, from_color, to_color, seed)
+    return None if cyc is None else (state.matching(), cyc)
 
 
 @dataclass(frozen=True)
@@ -391,62 +398,33 @@ def achieve_profile(
         return WalkOutcome(
             None, WalkFailure("no_monochromatic_start", i_star), report()
         )
-    if start is not None:
-        if not start.is_perfect:
-            raise ValidationError("start matching must be perfect")
-        if profile_of(g, start) != ColorProfile.corner(q, i_star, n):
-            raise ValidationError(
-                f"start matching is not monochromatic in color {i_star}"
-            )
-        m = start
-    else:
+    if start is None:
         try:
-            m = monochromatic_perfect_matching(g, i_star)
+            start = monochromatic_perfect_matching(g, i_star)
         except NoPerfectMatchingError:
             return WalkOutcome(
                 None, WalkFailure("no_monochromatic_start", i_star), report()
             )
+    state = _WalkState(g, start, i_star)
+    if len(state.anchors) != n:
+        raise ValidationError(f"start matching is not monochromatic in color {i_star}")
 
-    if best < n:  # a corner target takes no step and builds no walk state
-        counts = [0] * q
-        counts[i_star - 1] = n
-        assign = list(m.assign)
-        inverse = list(m.inverse)
-        match_colors = [i_star] * n
-        anchors = list(range(n))  # every A-vertex starts matched in color i*
-        step_index = 0
-        for j in range(1, q + 1):
-            if j == i_star:
-                continue
-            for _ in range(target.counts[j - 1]):
-                attempted += 1
-                t0 = time.perf_counter()
-                cyc, tried = _search(
-                    g, assign, inverse, match_colors, anchors, i_star, j,
-                    stream_value(seed, step_index),
+    for j in range(1, q + 1):
+        if j == i_star:
+            continue
+        for _ in range(target.counts[j - 1]):
+            t0 = time.perf_counter()
+            cyc, tried = state.step(j, stream_value(seed, attempted))
+            ms_per_step.append((time.perf_counter() - t0) * 1000.0)
+            attempted += 1
+            retries.append(tried - 1)
+            if cyc is None:
+                reached = profile_of(g, state.matching()).counts
+                return WalkOutcome(
+                    None, WalkFailure("step_exhausted", j, reached), report()
                 )
-                step_index += 1
-                if cyc is None:
-                    ms_per_step.append((time.perf_counter() - t0) * 1000.0)
-                    retries.append(tried - 1)
-                    return WalkOutcome(
-                        None,
-                        WalkFailure("step_exhausted", j, tuple(counts)),
-                        report(),
-                    )
-                for a, b in zip(cyc.a_seq, cyc.b_seq):  # _search validated cyc
-                    assign[a] = b
-                    inverse[b] = a
-                # exactly one A-vertex (the special edge's endpoint) leaves color i*
-                a = cyc.a_seq[cyc.special_index]
-                match_colors[a] = j
-                del anchors[bisect_left(anchors, a)]
-                counts[i_star - 1] -= 1
-                counts[j - 1] += 1
-                cycle_lengths.append(len(cyc))
-                retries.append(tried - 1)
-                ms_per_step.append((time.perf_counter() - t0) * 1000.0)
-        m = Matching(tuple(assign))
+            cycle_lengths.append(len(cyc))
+    m = state.matching() if best < n else start  # a corner target takes no step
 
     final = profile_of(g, m)
     if final != target:

@@ -47,9 +47,10 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             small_config(suite_kind="explicit", suite_profiles=())
 
-    def test_bad_explicit_profile_rejected(self):
+    @pytest.mark.parametrize("prof", [(1, 2), (-1, 41)], ids=["wrong_sum", "negative_count"])
+    def test_bad_explicit_profile_rejected(self, prof):
         with pytest.raises(ValidationError):
-            small_config(suite_kind="explicit", suite_profiles=((1, 2),))
+            small_config(suite_kind="explicit", suite_profiles=(prof,))
 
     def test_random_needs_count(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -56,9 +57,16 @@ class TestFindCycle:
         with pytest.raises(ValidationError):
             find_recoloring_cycle(f1, identity_matching(2), 1, 1)
 
-    def test_imperfect_matching_rejected(self, f1):
+    @pytest.mark.parametrize(
+        "m",
+        [Matching.from_pairs(2, [(0, 0)]), Matching((0,))],
+        ids=["unmatched_vertex", "too_short"],
+    )
+    def test_imperfect_matching_rejected(self, f1, m):
         with pytest.raises(ValidationError):
-            find_recoloring_cycle(f1, Matching.from_pairs(2, [(0, 0)]), 1, 2)
+            find_recoloring_cycle(f1, m, 1, 2)
+        with pytest.raises(ValidationError):
+            recolor_step(f1, m, 1, 2)
 
     def test_cycles_reverified_on_random_instances(self):
         found = 0
@@ -92,6 +100,14 @@ class TestApplyCycle:
         bad = AlternatingCycle((0, 5), (1, 0), 0, 1, 2)
         with pytest.raises(InvalidCycleError):
             apply_cycle(f3, identity_matching(3), bad)
+
+    def test_short_matching_rejected(self, f3):
+        # (0, 1) has no UNMATCHED entry, but f3 has 3 A-vertices
+        cyc = find_recoloring_cycle(f3, identity_matching(3), 1, 2, rng_seed=5)
+        short = Matching((0, 1))
+        assert validate_cycle(f3, short, cyc) is not None
+        with pytest.raises(InvalidCycleError):
+            apply_cycle(f3, short, cyc)
 
     def test_wrong_color_rejected(self, f3):
         # (1, 0) has color 1 but is claimed as the special (color-2) edge
@@ -132,6 +148,38 @@ class TestRecolorStep:
             assert all(d == 0 for d in delta[2:])
             checked += 1
         assert checked > 10
+
+    @pytest.mark.parametrize(
+        "n, want",
+        [
+            (80, "68115e56009da7f86039b38509c0bff8674e5e0e1247af59ea191702f76ca6af"),
+            (400, "a911c9fc951f5e33af1525991e5d842dc1bd7ddb1ce4d7112d7f594c70bfda65"),
+        ],
+    )
+    def test_mixed_start_digest(self, n, want):
+        # Pins the public step API from matchings that are not monochromatic:
+        # every ordered color pair, three seeds, from two interior profiles.
+        # n = 80 takes random.sample's pool path; n = 400 also its set path
+        # (320 anchors of color 3).
+        g = sample_graph(
+            SampleParams(n, threshold_p(n, 4.0, 1.0 / 3), ColorSpec.uniform(3), 31 * n + 3)
+        )
+        h = hashlib.sha256()
+        targets = ((n // 2, n // 4, n - n // 2 - n // 4), (n // 10, n // 10, n - 2 * (n // 10)))
+        for target in targets:
+            out = achieve_profile(g, target, seed=n)
+            assert out.ok
+            m = out.matching
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    if i == j:
+                        continue
+                    for seed in range(3):
+                        cyc = find_recoloring_cycle(g, m, i, j, rng_seed=seed)
+                        key = None if cyc is None else (cyc.a_seq, cyc.b_seq, cyc.special_index)
+                        step = recolor_step(g, m, i, j, seed=seed)
+                        h.update(repr((key, None if step is None else step[0].assign)).encode())
+        assert h.hexdigest() == want
 
     def test_monte_carlo_above_threshold(self):
         # n=500, q=2, omega=4: one step from the monochromatic start should
