@@ -127,8 +127,7 @@ def _cmd_walk(args) -> int:
 
 def _cmd_mcp(args) -> int:
     g = _read_graph(args.graph)
-    profiles = sorted(tuple(p.counts) for p in enumerate_mcp(g))
-    for prof in profiles:
+    for prof in sorted(enumerate_mcp(g)):
         print(",".join(str(c) for c in prof))
     return EXIT_OK
 
@@ -180,30 +179,15 @@ def _cmd_sweep(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = parse_config_text(fh.read())
-    if args.n is not None:
-        raw["n"] = str(args.n)
-    if args.q is not None:
-        raw["q"] = str(args.q)
-    if args.alpha is not None:
-        raw["alpha"] = args.alpha
-    if args.omega_grid is not None:
-        raw["omega_grid"] = args.omega_grid
-    if args.trials is not None:
-        raw["trials"] = str(args.trials)
-    if args.seed is not None:
-        raw["base_seed"] = str(args.seed)
-    if args.suite is not None:
-        raw["profile_suite"] = args.suite
-    if args.checks is not None:
-        raw["checks"] = args.checks
-    if args.workers is not None:
-        raw["workers"] = str(args.workers)
+    flags = {
+        "n": args.n, "q": args.q, "alpha": args.alpha, "omega_grid": args.omega_grid,
+        "trials": args.trials, "base_seed": args.seed, "profile_suite": args.suite,
+        "checks": args.checks, "workers": args.workers,
+    }
+    raw.update((key, str(value)) for key, value in flags.items() if value is not None)
     config = config_from_mapping(raw)
     records = sweep(config)
-    if args.out:
-        emit(records, args.format, args.out, config, include_timings=args.timings)
-    else:
-        emit(records, args.format, sys.stdout, config, include_timings=args.timings)
+    emit(records, args.format, args.out or sys.stdout, config, include_timings=args.timings)
     summary = summarize(records, config)
     print(format_summary(summary), file=sys.stderr)
     return EXIT_OK

@@ -30,12 +30,6 @@ class InvalidMatchingError(ValidationError):
     pass
 
 
-class UnmatchedVertexError(LabError):
-    def __init__(self, vertex: int):
-        super().__init__(f"A-vertex {vertex} is unmatched")
-        self.vertex = vertex
-
-
 class ParseError(ValidationError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")

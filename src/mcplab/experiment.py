@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .audit import isolated_color_vertices
 from .errors import NoPerfectMatchingError, ValidationError
-from .graphs import ColoredBipartiteGraph, ColorProfile, ColorSpec, Matching
+from .graphs import ColoredBipartiteGraph, ColorSpec, Matching
 from .matching import monochromatic_perfect_matching
 from .oracle import DP_LIMIT, Q_LIMIT, enumerate_mcp
 from .recolor import achieve_profile
@@ -129,6 +129,11 @@ class TrialRecord:
     elapsed_ms: float
 
 
+def _corner(q: int, color: int, n: int) -> tuple[int, ...]:
+    """The monochromatic profile with all n edges in ``color``."""
+    return tuple(n if c == color else 0 for c in range(1, q + 1))
+
+
 def profile_suite(config: ExperimentConfig, trial_seed: int) -> tuple[tuple[int, ...], ...]:
     """The walk targets for one trial: all q corners plus the configured extras.
 
@@ -136,9 +141,7 @@ def profile_suite(config: ExperimentConfig, trial_seed: int) -> tuple[tuple[int,
     the lattice simplex via the stars-and-bars bijection).
     """
     n, q = config.n, config.colors.q
-    suite: list[tuple[int, ...]] = [
-        tuple(ColorProfile.corner(q, i, n).counts) for i in range(1, q + 1)
-    ]
+    suite: list[tuple[int, ...]] = [_corner(q, i, n) for i in range(1, q + 1)]
     if config.suite_kind == "explicit":
         suite.extend(tuple(p) for p in config.suite_profiles)
     elif config.suite_kind == "random":
@@ -223,7 +226,7 @@ def run_trial(
     mcp_profiles = None
     agreement = None
     if config.checks.mcp_exact:
-        mcp = {tuple(p.counts) for p in enumerate_mcp(g)}
+        mcp = enumerate_mcp(g)
         mcp_profiles = tuple(sorted(mcp))
         if walks is not None:
             agreement = all(row.profile in mcp for row in walks if row.success)
@@ -383,16 +386,16 @@ def record_rows(
 
     if record.pm_success is not None:
         for i in range(1, q + 1):
-            corner = tuple(ColorProfile.corner(q, i, n).counts)
-            base("per_color_pm", _profile_str(corner), record.pm_success[i - 1], 0, 0, 0.0)
+            corner = _profile_str(_corner(q, i, n))
+            base("per_color_pm", corner, record.pm_success[i - 1], 0, 0, 0.0)
     if record.walks is not None:
         for row in record.walks:
             base("walk", _profile_str(row.profile), row.success, row.steps, row.retries, row.ms)
     if record.isolated_counts is not None:
         for i in range(1, q + 1):
             a_cnt, b_cnt = record.isolated_counts[i - 1]
-            corner = tuple(ColorProfile.corner(q, i, n).counts)
-            base("isolated", _profile_str(corner), a_cnt + b_cnt == 0, a_cnt + b_cnt, 0, 0.0)
+            corner = _profile_str(_corner(q, i, n))
+            base("isolated", corner, a_cnt + b_cnt == 0, a_cnt + b_cnt, 0, 0.0)
     if record.mcp_walk_agreement is not None:
         base(
             "mcp_exact", "", record.mcp_walk_agreement,

@@ -5,6 +5,10 @@ side) and a set of edges (a, b, color) with colors in 1..q.  Each (a, b)
 pair carries at most one color.  Graphs are immutable after construction;
 per-color adjacency on both sides is indexed up front because every
 downstream algorithm queries it in inner loops.
+
+A color profile (m_1, ..., m_q) is a plain ``tuple[int, ...]``: m_i counts
+the matching's color-i edges.  A profile from outside is checked in one
+place, ``validate_profile_for``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidMatchingError,
     ParseError,
-    UnmatchedVertexError,
     ValidationError,
 )
 
@@ -65,38 +68,6 @@ class ColorSpec:
     @classmethod
     def uniform(cls, q: int) -> "ColorSpec":
         return cls(q, tuple(1.0 / q for _ in range(q)))
-
-
-@dataclass(frozen=True)
-class ColorProfile:
-    """Per-color edge counts of a matching; sums to n for a perfect matching."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
-            raise ValidationError(f"negative profile count in {self.counts}")
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.counts[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @classmethod
-    def corner(cls, q: int, color: int, n: int) -> "ColorProfile":
-        """The monochromatic profile with all n edges in ``color``."""
-        counts = [0] * q
-        counts[color - 1] = n
-        return cls(tuple(counts))
 
 
 def _edge_array(edges: Iterable[tuple[int, int, int]]) -> np.ndarray:
@@ -303,7 +274,7 @@ def build_graph(
     )
 
 
-def profile_of(g: ColoredBipartiteGraph, m: Matching) -> ColorProfile:
+def profile_of(g: ColoredBipartiteGraph, m: Matching) -> tuple[int, ...]:
     """Per-color counts of the matched pairs of ``m`` in ``g``."""
     counts = [0] * g.q
     for a, b in m.pairs():
@@ -311,7 +282,7 @@ def profile_of(g: ColoredBipartiteGraph, m: Matching) -> ColorProfile:
         if c is None:
             raise InvalidMatchingError(f"matched pair ({a}, {b}) is not an edge")
         counts[c - 1] += 1
-    return ColorProfile(tuple(counts))
+    return tuple(counts)
 
 
 def color_neighborhood(
@@ -323,17 +294,6 @@ def color_neighborhood(
     out: set[int] = set()
     for a in s:
         out.update(g.neighbors_a(a, color))
-    return tuple(sorted(out))
-
-
-def matched_image(m: Matching, s: Iterable[int]) -> tuple[int, ...]:
-    """M(S): partners of the A-vertices in S; every vertex must be matched."""
-    out = []
-    for a in s:
-        b = m.assign[a]
-        if b == UNMATCHED:
-            raise UnmatchedVertexError(a)
-        out.append(b)
     return tuple(sorted(out))
 
 
@@ -425,11 +385,13 @@ def parse_graph(text: str) -> ColoredBipartiteGraph:
     return build_graph(header[0], header[1], edges, alphas)
 
 
-def validate_profile_for(g: ColoredBipartiteGraph, profile: Sequence[int]) -> ColorProfile:
-    """Check a target profile: length q, nonnegative, sums to n."""
-    p = ColorProfile(tuple(profile))
+def validate_profile_for(g: ColoredBipartiteGraph, profile: Sequence[int]) -> tuple[int, ...]:
+    """A target profile from outside as a tuple of ints: nonnegative, length q, sums to n."""
+    p = tuple(int(c) for c in profile)
+    if any(c < 0 for c in p):
+        raise ValidationError(f"negative profile count in {p}")
     if len(p) != g.q:
         raise BadProfileSumError(f"profile has {len(p)} entries, graph has q={g.q}")
-    if p.total != g.n:
-        raise BadProfileSumError(f"profile sums to {p.total}, expected n={g.n}")
+    if sum(p) != g.n:
+        raise BadProfileSumError(f"profile sums to {sum(p)}, expected n={g.n}")
     return p

@@ -1,6 +1,7 @@
 """Exact perfect-matching color-profile sets for small instances.
 
-Ground truth for all solver testing.  ``enumerate_mcp`` is a subset dynamic
+Ground truth for all solver testing.  Both oracles return a set of profile
+tuples (m_1, ..., m_q).  ``enumerate_mcp`` is a subset dynamic
 program (n <= DP_LIMIT = 20, q <= Q_LIMIT = 4) that keeps one Python int per
 mask of used B-vertices: bit sum_i m_i (n+1)^(i-1) of that int is set when
 the partial profile (m_1, ..., m_{q-1}) is achievable.  An edge of color
@@ -17,14 +18,14 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import InstanceTooLargeError
-from .graphs import ColoredBipartiteGraph, ColorProfile, validate_profile_for
+from .graphs import ColoredBipartiteGraph, validate_profile_for
 
 DP_LIMIT = 20
 NAIVE_LIMIT = 9
 Q_LIMIT = 4
 
 
-def enumerate_mcp(g: ColoredBipartiteGraph) -> set[ColorProfile]:
+def enumerate_mcp(g: ColoredBipartiteGraph) -> set[tuple[int, ...]]:
     """{profile_of(g, M) : M a perfect matching of g}, by bitset subset DP.
 
     ``dp[mask]`` describes the matchings of A-vertices 0..k-1 onto the
@@ -59,23 +60,23 @@ def enumerate_mcp(g: ColoredBipartiteGraph) -> set[ColorProfile]:
         for bit, shift in moves[mask.bit_count()]:
             if not mask & bit:
                 dp[mask | bit] |= bits << shift
-    out: set[ColorProfile] = set()
+    out: set[tuple[int, ...]] = set()
     for index, digit in enumerate(reversed(bin(dp[full])[2:])):
         if digit == "1":
             prof = []
             for _ in range(q - 1):
                 index, m = divmod(index, n + 1)
                 prof.append(m)
-            out.add(ColorProfile((*prof, n - sum(prof))))
+            out.add((*prof, n - sum(prof)))
     return out
 
 
-def enumerate_mcp_naive(g: ColoredBipartiteGraph) -> set[ColorProfile]:
+def enumerate_mcp_naive(g: ColoredBipartiteGraph) -> set[tuple[int, ...]]:
     """Brute force over all n! bijections A -> B; the independent oracle."""
     if g.n > NAIVE_LIMIT:
         raise InstanceTooLargeError(f"n={g.n} exceeds naive limit {NAIVE_LIMIT}")
     n, q = g.n, g.q
-    out: set[ColorProfile] = set()
+    out: set[tuple[int, ...]] = set()
     for perm in permutations(range(n)):
         counts = [0] * q
         ok = True
@@ -86,14 +87,11 @@ def enumerate_mcp_naive(g: ColoredBipartiteGraph) -> set[ColorProfile]:
                 break
             counts[c - 1] += 1
         if ok:
-            out.add(ColorProfile(tuple(counts)))
+            out.add(tuple(counts))
     return out
 
 
-def has_profile(
-    g: ColoredBipartiteGraph, profile: ColorProfile | tuple[int, ...]
-) -> bool:
+def has_profile(g: ColoredBipartiteGraph, profile: tuple[int, ...]) -> bool:
     """Membership test: whether ``profile`` is in ``enumerate_mcp(g)``, the
     same subset DP."""
-    target = validate_profile_for(g, tuple(profile))
-    return target in enumerate_mcp(g)
+    return validate_profile_for(g, profile) in enumerate_mcp(g)

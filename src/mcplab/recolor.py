@@ -43,7 +43,6 @@ from .errors import (
 )
 from .graphs import (
     ColoredBipartiteGraph,
-    ColorProfile,
     Matching,
     color_neighborhood,
     profile_of,
@@ -357,7 +356,7 @@ class WalkOutcome:
 
 def achieve_profile(
     g: ColoredBipartiteGraph,
-    target: ColorProfile | tuple[int, ...],
+    target: tuple[int, ...],
     seed: int = 0,
     start: Matching | NoPerfectMatchingError | None = None,
 ) -> WalkOutcome:
@@ -372,10 +371,10 @@ def achieve_profile(
     the ``NoPerfectMatchingError`` that showed there is none, to skip
     recomputing it; either is validated before use.
     """
-    target = validate_profile_for(g, tuple(target))
+    target = validate_profile_for(g, target)
     q, n = g.q, g.n
-    best = max(target.counts)
-    i_star = target.counts.index(best) + 1
+    best = max(target)
+    i_star = target.index(best) + 1
 
     cycle_lengths: list[int] = []
     retries: list[int] = []
@@ -412,14 +411,14 @@ def achieve_profile(
     for j in range(1, q + 1):
         if j == i_star:
             continue
-        for _ in range(target.counts[j - 1]):
+        for _ in range(target[j - 1]):
             t0 = time.perf_counter()
             cyc, tried = state.step(j, stream_value(seed, attempted))
             ms_per_step.append((time.perf_counter() - t0) * 1000.0)
             attempted += 1
             retries.append(tried - 1)
             if cyc is None:
-                reached = profile_of(g, state.matching()).counts
+                reached = profile_of(g, state.matching())
                 return WalkOutcome(
                     None, WalkFailure("step_exhausted", j, reached), report()
                 )

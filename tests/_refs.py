@@ -7,8 +7,6 @@ that shares nothing with them.
 
 from itertools import combinations
 
-from mcplab import ColorProfile
-
 
 def brute_max_matching_size(g, colors) -> int:
     """Maximum matching size by recursion over A-vertices with a B-bitmask."""
@@ -75,7 +73,7 @@ def mcp_set_dp(g) -> set:
                 for prof in profiles:
                     bucket.add(prof[:i] + (prof[i] + 1,) + prof[i + 1 :])
     final = dp.get((1 << n) - 1, set())
-    return {ColorProfile(prof + (n - sum(prof),)) for prof in final}
+    return {prof + (n - sum(prof),) for prof in final}
 
 
 def hall_holds(g, color) -> bool:

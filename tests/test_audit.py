@@ -19,7 +19,6 @@ from mcplab import (
     isolated_color_vertices,
     low_degree_witness,
 )
-from mcplab.graphs import ColorProfile
 
 
 class TestIsolated:
@@ -39,7 +38,7 @@ class TestIsolated:
             for i in range(1, g.q + 1):
                 a_side, b_side = isolated_color_vertices(g, i)
                 if a_side or b_side:
-                    corner = ColorProfile.corner(g.q, i, g.n).counts
+                    corner = tuple(g.n if c == i else 0 for c in range(1, g.q + 1))
                     assert has_profile(g, corner) is False
 
 

@@ -148,6 +148,17 @@ class TestSweep:
         assert rc == 0
         assert out.exists()
 
+    def test_stdout_equals_out_file(self, tmp_path, capsys):
+        argv = [
+            "sweep", "--n", "16", "--alpha", "0.5,0.5", "--omega-grid", "0,4",
+            "--trials", "2", "--seed", "5", "--checks", "per_color_pm,walk,isolated",
+        ]
+        out = tmp_path / "s.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_validation_error_exit_2(self, tmp_path):
         rc = main([
             "sweep", "--n", "16", "--alpha", "0.9,0.2", "--omega-grid", "4",
@@ -178,6 +189,7 @@ MALFORMED = {
     "gen-omega": ["gen", "--n", "4", "--alpha", "0.5,0.5", "--omega", "abc"],
     "gen-llog-n1": ["gen", "--n", "1", "--alpha", "1", "--omega", "llog"],
     "walk-target": ["walk", "{graph}", "--target", "5,x"],
+    "walk-negative-target": ["walk", "{graph}", "--target", "9,-1"],
     "match-colors": ["match", "{graph}", "--colors", "1,x"],
     "audit-empty-cut": ["audit", "{graph}", "--empty-cut", "2", "x"],
     "sweep-omega-grid": ["sweep", "--n", "10", "--alpha", "0.5,0.5", "--omega-grid=abc"],

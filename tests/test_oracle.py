@@ -9,9 +9,9 @@ from _refs import mcp_set_dp
 from conftest import instance_grid, random_instance
 from mcplab import (
     BadProfileSumError,
-    ColorProfile,
     InstanceTooLargeError,
     NoPerfectMatchingError,
+    ValidationError,
     build_graph,
     enumerate_mcp,
     enumerate_mcp_naive,
@@ -22,22 +22,18 @@ from mcplab import (
 from mcplab.rng import derive_seed
 
 
-def counts(profiles):
-    return sorted(p.counts for p in profiles)
-
-
 class TestFixtures:
     def test_f1(self, f1):
-        assert counts(enumerate_mcp(f1)) == [(0, 2), (2, 0)]
-        assert counts(enumerate_mcp_naive(f1)) == [(0, 2), (2, 0)]
+        assert sorted(enumerate_mcp(f1)) == [(0, 2), (2, 0)]
+        assert sorted(enumerate_mcp_naive(f1)) == [(0, 2), (2, 0)]
 
     def test_f2(self, f2):
-        assert counts(enumerate_mcp(f2)) == [(1, 1), (2, 0)]
-        assert counts(enumerate_mcp_naive(f2)) == [(1, 1), (2, 0)]
+        assert sorted(enumerate_mcp(f2)) == [(1, 1), (2, 0)]
+        assert sorted(enumerate_mcp_naive(f2)) == [(1, 1), (2, 0)]
 
     def test_f3(self, f3):
-        assert counts(enumerate_mcp(f3)) == [(2, 1), (3, 0)]
-        assert counts(enumerate_mcp_naive(f3)) == [(2, 1), (3, 0)]
+        assert sorted(enumerate_mcp(f3)) == [(2, 1), (3, 0)]
+        assert sorted(enumerate_mcp_naive(f3)) == [(2, 1), (3, 0)]
 
     def test_edgeless(self):
         g = build_graph(2, 2, [])
@@ -46,8 +42,8 @@ class TestFixtures:
 
     def test_complete_single_color(self):
         g = build_graph(3, 1, [(a, b, 1) for a in range(3) for b in range(3)])
-        assert counts(enumerate_mcp(g)) == [(3,)]
-        assert counts(enumerate_mcp_naive(g)) == [(3,)]
+        assert sorted(enumerate_mcp(g)) == [(3,)]
+        assert sorted(enumerate_mcp_naive(g)) == [(3,)]
 
 
 class TestLimits:
@@ -78,9 +74,14 @@ class TestHasProfile:
         with pytest.raises(BadProfileSumError):
             has_profile(f1, (1, 0))
 
+    def test_negative_count(self, f1):
+        # (3, -1) sums to n = 2, so only the sign check rejects it.
+        with pytest.raises(ValidationError, match="negative"):
+            has_profile(f1, (3, -1))
+
     def test_matches_enumeration(self):
         for g in instance_grid(40, base_seed=51, n_range=(2, 6)):
-            mcp = {p.counts for p in enumerate_mcp(g)}
+            mcp = enumerate_mcp(g)
             n, q = g.n, g.q
             # check every simplex point
             def points(prefix, remaining, slots):
@@ -116,7 +117,7 @@ class TestAgreement:
     def test_profiles_sum_to_n(self):
         for g in instance_grid(30, base_seed=99):
             for p in enumerate_mcp(g):
-                assert p.total == g.n
+                assert sum(p) == g.n
 
     def test_empty_iff_no_perfect_matching(self):
         for g in instance_grid(40, base_seed=123):
@@ -126,9 +127,9 @@ class TestAgreement:
 
     def test_corner_membership_matches_monochromatic_pm(self):
         for g in instance_grid(60, base_seed=314, n_range=(2, 8)):
-            mcp = {p.counts for p in enumerate_mcp(g)}
+            mcp = enumerate_mcp(g)
             for i in range(1, g.q + 1):
-                corner = ColorProfile.corner(g.q, i, g.n).counts
+                corner = tuple(g.n if c == i else 0 for c in range(1, g.q + 1))
                 try:
                     monochromatic_perfect_matching(g, i)
                     exists = True
@@ -185,7 +186,7 @@ def test_profile_sets_pinned():
     h = hashlib.sha256()
     sizes = []
     for g in pinned_graphs():
-        profiles = counts(enumerate_mcp(g))
+        profiles = sorted(enumerate_mcp(g))
         sizes.append(len(profiles))
         h.update(repr(profiles).encode())
         h.update(b"\n")

@@ -88,7 +88,7 @@ class TestApplyCycle:
         cyc = find_recoloring_cycle(f3, m, 1, 2, rng_seed=5)
         m2 = apply_cycle(f3, m, cyc)
         assert m2.assign == (1, 0, 2)
-        assert profile_of(f3, m2).counts == (2, 1)
+        assert profile_of(f3, m2) == (2, 1)
         assert verify_matching(f3, m2, require_perfect=True) is None
 
     def test_repeated_vertex_rejected(self, f3):
@@ -124,7 +124,7 @@ class TestRecolorStep:
         out = recolor_step(f3, m, 1, 2, seed=5)
         assert out is not None
         m2, cyc = out
-        assert profile_of(f3, m2).counts == (2, 1)
+        assert profile_of(f3, m2) == (2, 1)
 
     def test_f1_step_not_found(self, f1):
         assert recolor_step(f1, identity_matching(2), 1, 2, seed=5) is None
@@ -136,12 +136,12 @@ class TestRecolorStep:
                 m = monochromatic_perfect_matching(g, 1)
             except Exception:
                 continue
-            before = profile_of(g, m).counts
+            before = profile_of(g, m)
             out = recolor_step(g, m, 1, 2, seed=3)
             if out is None:
                 continue
             m2, _ = out
-            after = profile_of(g, m2).counts
+            after = profile_of(g, m2)
             assert verify_matching(g, m2, require_perfect=True) is None
             delta = [a - b for a, b in zip(after, before)]
             assert delta[0] == -1 and delta[1] == 1
@@ -229,6 +229,11 @@ class TestAchieveProfile:
         with pytest.raises(BadProfileSumError):
             achieve_profile(f1, (1, 0), seed=1)
 
+    def test_negative_target_count(self, f1):
+        # (3, -1) sums to n = 2; without the sign check the walk would run.
+        with pytest.raises(ValidationError, match="negative"):
+            achieve_profile(f1, (3, -1), seed=1)
+
     def test_step_count_is_n_minus_max(self):
         n = 60
         colors = ColorSpec.uniform(2)
@@ -238,7 +243,7 @@ class TestAchieveProfile:
         out = achieve_profile(g, target, seed=9)
         assert out.ok
         assert out.report.steps_succeeded == n - max(target)
-        assert profile_of(g, out.matching).counts == target
+        assert profile_of(g, out.matching) == target
 
     def test_start_hint_rejected_when_wrong(self, f1):
         for wrong in (
@@ -260,7 +265,7 @@ class TestAchieveProfile:
     def test_start_hint_used(self, f3):
         start = identity_matching(3)
         out = achieve_profile(f3, (2, 1), seed=1, start=start)
-        assert out.ok and profile_of(f3, out.matching).counts == (2, 1)
+        assert out.ok and profile_of(f3, out.matching) == (2, 1)
 
     def test_oracle_consistency_small_instances(self):
         # every successful walk target must be in the exact profile set
@@ -271,7 +276,7 @@ class TestAchieveProfile:
             instance_grid(500, base_seed=5150, n_range=(2, 7), ps=(0.3, 0.6, 0.9))
         ):
             rng = random.Random(k)
-            mcp = {p.counts for p in enumerate_mcp(g)}
+            mcp = enumerate_mcp(g)
             n, q = g.n, g.q
             # one random simplex target, plus one known-achievable target
             targets = []
@@ -287,7 +292,7 @@ class TestAchieveProfile:
             for target in targets:
                 out = achieve_profile(g, target, seed=k)
                 if out.ok:
-                    if profile_of(g, out.matching).counts != tuple(target):
+                    if profile_of(g, out.matching) != tuple(target):
                         violations += 1
                     if tuple(target) not in mcp:
                         violations += 1

@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,20 @@ def test_no_bare_assert_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_public_surface_is_all():
+    # A name removed from the package must leave __all__ too, and every
+    # public name the package binds must be listed there.
+    names = mcplab.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(mcplab, name)] == []
+    public = {
+        name
+        for name, value in vars(mcplab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(names)
 
 
 @pytest.mark.parametrize(
