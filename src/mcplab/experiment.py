@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .audit import isolated_color_vertices
 from .errors import NoPerfectMatchingError, ValidationError
-from .graphs import ColoredBipartiteGraph, ColorSpec, Matching
+from .graphs import ColoredBipartiteGraph, ColorSpec, Matching, _check_profile
 from .matching import monochromatic_perfect_matching
 from .oracle import DP_LIMIT, Q_LIMIT, enumerate_mcp
 from .recolor import achieve_profile
@@ -80,8 +80,7 @@ class ExperimentConfig:
             if not self.suite_profiles:
                 raise ValidationError("explicit profile suite is empty")
             for prof in self.suite_profiles:
-                if len(prof) != self.colors.q or sum(prof) != self.n or min(prof) < 0:
-                    raise ValidationError(f"bad suite profile {prof}")
+                _check_profile(self.n, self.colors.q, prof)
         if self.checks.mcp_exact and (self.n > DP_LIMIT or self.colors.q > Q_LIMIT):
             raise ValidationError(
                 f"mcp_exact check requires n <= {DP_LIMIT} and q <= {Q_LIMIT}, "

@@ -2,13 +2,13 @@
 
 A graph has two sides A and B of equal size ``n`` (indices 0..n-1 on each
 side) and a set of edges (a, b, color) with colors in 1..q.  Each (a, b)
-pair carries at most one color.  Graphs are immutable after construction;
-per-color adjacency on both sides is indexed up front because every
-downstream algorithm queries it in inner loops.
+pair carries at most one color.  Graphs are immutable after construction.
+Sorted per-color adjacency rows on both sides, which every algorithm reads
+in inner loops, are the one store of edges; ``color_of`` scans a's q rows.
 
 A color profile (m_1, ..., m_q) is a plain ``tuple[int, ...]``: m_i counts
 the matching's color-i edges.  A profile from outside is checked in one
-place, ``validate_profile_for``.
+place, ``_check_profile``, through ``validate_profile_for`` or the config.
 """
 
 from __future__ import annotations
@@ -97,10 +97,11 @@ class ColoredBipartiteGraph:
 
     ``edges`` is any (E, 3) collection of integer (a, b, color) rows: an
     iterable of triples or an ndarray.  Range and duplicate checks run in
-    numpy and raise for the first failing edge in input order.
+    numpy and raise for the first failing edge in input order.  The rows
+    ``_adj_a[c - 1][a]`` and ``_adj_b[c - 1][b]`` are the only edge store.
     """
 
-    __slots__ = ("n", "q", "_color_of", "_adj_a", "_adj_b", "alphas", "__weakref__")
+    __slots__ = ("n", "q", "edge_count", "_adj_a", "_adj_b", "alphas", "__weakref__")
 
     def __init__(
         self,
@@ -138,7 +139,7 @@ class ColoredBipartiteGraph:
             raise ColorOutOfRangeError(f"color {ec} out of range for q={q}")
 
         a, b, c = a[order], b[order], c[order]
-        self._color_of = dict(zip(zip(a.tolist(), b.tolist()), c.tolist()))
+        self.edge_count = len(arr)
         adj_a, adj_b = [], []
         for color in range(1, q + 1):
             mask = c == color
@@ -151,21 +152,23 @@ class ColoredBipartiteGraph:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def edge_count(self) -> int:
-        return len(self._color_of)
-
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All edges as (a, b, color), sorted by (a, b)."""
-        for (a, b) in sorted(self._color_of):
-            yield a, b, self._color_of[(a, b)]
+        for a in range(self.n):
+            yield from sorted((a, b, c) for c, rows in enumerate(self._adj_a, 1) for b in rows[a])
 
     def color_of(self, a: int, b: int) -> int | None:
-        """Color of edge (a, b), or None if absent."""
-        return self._color_of.get((a, b))
+        """Color of edge (a, b), or None if absent; scans a's q rows."""
+        if 0 <= a < self.n:
+            c = 0
+            for rows in self._adj_a:
+                c += 1
+                if b in rows[a]:
+                    return c
+        return None
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self._color_of
+        return self.color_of(a, b) is not None
 
     def neighbors_a(self, a: int, color: int) -> tuple[int, ...]:
         """B-side neighbors of A-vertex ``a`` through edges of ``color``."""
@@ -192,12 +195,12 @@ class ColoredBipartiteGraph:
         return (
             self.n == other.n
             and self.q == other.q
-            and self._color_of == other._color_of
+            and self._adj_a == other._adj_a
             and self.alphas == other.alphas
         )
 
     def __hash__(self):
-        return hash((self.n, self.q, frozenset(self._color_of.items())))
+        return hash((self.n, self.q, self._adj_a))
 
     def __repr__(self) -> str:
         return (
@@ -387,11 +390,16 @@ def parse_graph(text: str) -> ColoredBipartiteGraph:
 
 def validate_profile_for(g: ColoredBipartiteGraph, profile: Sequence[int]) -> tuple[int, ...]:
     """A target profile from outside as a tuple of ints: nonnegative, length q, sums to n."""
+    return _check_profile(g.n, g.q, profile)
+
+
+def _check_profile(n: int, q: int, profile: Sequence[int]) -> tuple[int, ...]:
+    """The profile checks for an n-vertex, q-color setting, with or without a graph."""
     p = tuple(int(c) for c in profile)
     if any(c < 0 for c in p):
         raise ValidationError(f"negative profile count in {p}")
-    if len(p) != g.q:
-        raise BadProfileSumError(f"profile has {len(p)} entries, graph has q={g.q}")
-    if sum(p) != g.n:
-        raise BadProfileSumError(f"profile sums to {sum(p)}, expected n={g.n}")
+    if len(p) != q:
+        raise BadProfileSumError(f"profile has {len(p)} entries, graph has q={q}")
+    if sum(p) != n:
+        raise BadProfileSumError(f"profile sums to {sum(p)}, expected n={n}")
     return p

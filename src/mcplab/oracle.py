@@ -10,7 +10,7 @@ implied by the popcount.  Each entry is freed once it has been read.
 ``enumerate_mcp_naive`` is a factorial brute force over all bijections
 (n <= NAIVE_LIMIT = 9); it and the set-of-tuples DP in ``tests/_refs.py``
 share no code with the bitset DP and are its independent checks.  The limits
-are fixed.  Membership (``has_profile``) is answered by the same DP.
+are fixed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import InstanceTooLargeError
-from .graphs import ColoredBipartiteGraph, validate_profile_for
+from .graphs import ColoredBipartiteGraph
 
 DP_LIMIT = 20
 NAIVE_LIMIT = 9
@@ -89,9 +89,3 @@ def enumerate_mcp_naive(g: ColoredBipartiteGraph) -> set[tuple[int, ...]]:
         if ok:
             out.add(tuple(counts))
     return out
-
-
-def has_profile(g: ColoredBipartiteGraph, profile: tuple[int, ...]) -> bool:
-    """Membership test: whether ``profile`` is in ``enumerate_mcp(g)``, the
-    same subset DP."""
-    return validate_profile_for(g, profile) in enumerate_mcp(g)

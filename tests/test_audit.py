@@ -14,7 +14,7 @@ from mcplab import (
     color_cut_count,
     dense_cut_witness,
     empty_cut_witness,
-    has_profile,
+    enumerate_mcp,
     high_degree_witness,
     isolated_color_vertices,
     low_degree_witness,
@@ -39,7 +39,7 @@ class TestIsolated:
                 a_side, b_side = isolated_color_vertices(g, i)
                 if a_side or b_side:
                     corner = tuple(g.n if c == i else 0 for c in range(1, g.q + 1))
-                    assert has_profile(g, corner) is False
+                    assert corner not in enumerate_mcp(g)
 
 
 class TestLowDegree:

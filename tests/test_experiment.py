@@ -7,7 +7,7 @@ import pytest
 import mcplab.experiment
 import mcplab.recolor
 from mcplab import CheckFlags, ColorSpec, ExperimentConfig, emit, run_trial, summarize, sweep
-from mcplab.errors import ValidationError
+from mcplab.errors import BadProfileSumError, ValidationError
 from mcplab.matching import monochromatic_perfect_matching
 from mcplab.experiment import (
     CSV_HEADER,
@@ -47,9 +47,18 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             small_config(suite_kind="explicit", suite_profiles=())
 
-    @pytest.mark.parametrize("prof", [(1, 2), (-1, 41)], ids=["wrong_sum", "negative_count"])
-    def test_bad_explicit_profile_rejected(self, prof):
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize(
+        "prof, error, message",
+        [
+            ((1, 2), BadProfileSumError, "sums to 3"),
+            ((-1, 41), ValidationError, "negative"),
+            ((10, 10, 20), BadProfileSumError, "3 entries"),
+        ],
+        ids=["wrong_sum", "negative_count", "wrong_length"],
+    )
+    def test_bad_explicit_profile_rejected(self, prof, error, message):
+        # The config's profile check is validate_profile_for's, wording included.
+        with pytest.raises(error, match=message):
             small_config(suite_kind="explicit", suite_profiles=(prof,))
 
     def test_random_needs_count(self):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -14,12 +15,14 @@ from mcplab import (
     InvalidMatchingError,
     Matching,
     ParseError,
+    SampleParams,
     UNMATCHED,
     build_graph,
     color_cut_count,
     color_neighborhood,
     parse_graph,
     profile_of,
+    sample_graph,
     serialize_graph,
 )
 from mcplab.errors import ValidationError
@@ -98,6 +101,10 @@ class TestArrayEdges:
         rng.shuffle(edges)
         g_tup = build_graph(n, q, edges)
         assert g_arr == g_tup
+        assert hash(g_arr) == hash(g_tup)
+        a, b, c = edges[0]
+        recolored = [(a, b, c % q + 1)] + edges[1:]
+        assert build_graph(n, q, recolored) != g_tup
         assert list(g_arr.edges()) == list(g_tup.edges()) == sorted(edges)
         for c in range(1, q + 1):
             for v in range(n):
@@ -126,6 +133,17 @@ class TestArrayEdges:
     def test_duplicate_names_the_pair(self):
         with pytest.raises(DuplicateEdgeError, match=r"\(2, 1\)"):
             build_graph(3, 2, np.array([(2, 1, 1), (0, 0, 1), (2, 1, 2)]))
+
+
+class TestEdgeQueries:
+    def test_out_of_range_vertices_have_no_edges(self):
+        # Row n - 1 holds an edge, so a = -1 must not wrap onto it.
+        n = 4
+        g = build_graph(n, 2, [(n - 1, 0, 1), (0, n - 1, 2), (n - 1, n - 1, 2)])
+        assert g.color_of(n - 1, 0) == 1 and g.has_edge(0, n - 1)
+        for a, b in ((-1, 0), (-1, n - 1), (n, 0), (0, -1), (n - 1, -1), (n - 1, n)):
+            assert g.color_of(a, b) is None
+            assert g.has_edge(a, b) is False
 
 
 class TestProfileOf:
@@ -238,6 +256,21 @@ class TestSerialization:
     def test_bad_edge_line(self):
         with pytest.raises(ParseError):
             parse_graph("2 2\n0 0\n")
+
+    def test_golden_digest(self):
+        # Pins the bytes of ``mcplab gen``: serialize_graph over sampled
+        # graphs, edges in (a, b) order, alpha line included.
+        h = hashlib.sha256()
+        for n, p, cs in (
+            (60, 0.2, ColorSpec(3, (0.5, 0.25, 0.25))),
+            (300, 0.03, ColorSpec.uniform(2)),
+            (1, 0.5, ColorSpec.uniform(1)),
+        ):
+            for seed in range(5):
+                h.update(serialize_graph(sample_graph(SampleParams(n, p, cs, seed))).encode())
+        assert h.hexdigest() == (
+            "c1b8456e0158c75ac2b68d89ba3bded1df0f97b8ec9c27f1240bb341aadb1d89"
+        )
 
     def test_round_trip_100_random_graphs(self):
         for seed in range(100):

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from _refs import mcp_set_dp
 from conftest import instance_grid, random_instance
 from mcplab import (
-    BadProfileSumError,
     InstanceTooLargeError,
     NoPerfectMatchingError,
-    ValidationError,
     build_graph,
     enumerate_mcp,
     enumerate_mcp_naive,
-    has_profile,
     max_matching,
     monochromatic_perfect_matching,
 )
@@ -64,24 +61,17 @@ class TestLimits:
 
 
 class TestHasProfile:
+    """Membership in MCP(G) is ``profile in enumerate_mcp(g)``."""
+
     def test_f1_member(self, f1):
-        assert has_profile(f1, (2, 0)) is True
+        assert (2, 0) in enumerate_mcp(f1)
 
     def test_f1_non_member(self, f1):
-        assert has_profile(f1, (1, 1)) is False
-
-    def test_bad_sum(self, f1):
-        with pytest.raises(BadProfileSumError):
-            has_profile(f1, (1, 0))
-
-    def test_negative_count(self, f1):
-        # (3, -1) sums to n = 2, so only the sign check rejects it.
-        with pytest.raises(ValidationError, match="negative"):
-            has_profile(f1, (3, -1))
+        assert (1, 1) not in enumerate_mcp(f1)
 
     def test_matches_enumeration(self):
         for g in instance_grid(40, base_seed=51, n_range=(2, 6)):
-            mcp = enumerate_mcp(g)
+            mcp, naive = enumerate_mcp(g), enumerate_mcp_naive(g)
             n, q = g.n, g.q
             # check every simplex point
             def points(prefix, remaining, slots):
@@ -92,7 +82,7 @@ class TestHasProfile:
                     yield from points(prefix + (v,), remaining - v, slots - 1)
 
             for prof in points((), n, q):
-                assert has_profile(g, prof) == (prof in mcp)
+                assert (prof in mcp) == (prof in naive)
 
 
 class TestAgreement:

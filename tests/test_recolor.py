@@ -101,6 +101,15 @@ class TestApplyCycle:
         with pytest.raises(InvalidCycleError):
             apply_cycle(f3, identity_matching(3), bad)
 
+    def test_negative_a_vertex_rejected(self):
+        # (1, 2) -> (2, 1) is a valid cycle; naming A-vertex 2 as -1 must not
+        # pass by wrapping onto the last row.
+        g = build_graph(3, 2, [(0, 0, 1), (1, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 1)])
+        m = identity_matching(3)
+        assert apply_cycle(g, m, AlternatingCycle((1, 2), (2, 1), 0, 1, 2)).assign == (0, 2, 1)
+        with pytest.raises(InvalidCycleError):
+            apply_cycle(g, m, AlternatingCycle((1, -1), (2, 1), 0, 1, 2))
+
     def test_short_matching_rejected(self, f3):
         # (0, 1) has no UNMATCHED entry, but f3 has 3 A-vertices
         cyc = find_recoloring_cycle(f3, identity_matching(3), 1, 2, rng_seed=5)
