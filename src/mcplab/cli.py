@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .audit import (
     dense_cut_witness,
@@ -24,6 +25,8 @@ from .errors import (
     ValidationError,
 )
 from .experiment import (
+    _CONFIG_KEYS,
+    CheckFlags,
     config_from_mapping,
     emit,
     format_summary,
@@ -77,8 +80,6 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_gen(args) -> int:
     colors = ColorSpec(len(args.alpha), args.alpha)
-    if args.q is not None and args.q != colors.q:
-        raise ValidationError("--q does not match the number of alphas")
     if args.p is not None:
         p = args.p
     else:
@@ -179,12 +180,9 @@ def _cmd_sweep(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = parse_config_text(fh.read())
-    flags = {
-        "n": args.n, "q": args.q, "alpha": args.alpha, "omega_grid": args.omega_grid,
-        "trials": args.trials, "base_seed": args.seed, "profile_suite": args.suite,
-        "checks": args.checks, "workers": args.workers,
-    }
-    raw.update((key, str(value)) for key, value in flags.items() if value is not None)
+    # each config key is the dest of the sweep flag that overrides it
+    flags = ((key, getattr(args, key)) for key in _CONFIG_KEYS)
+    raw.update((key, str(value)) for key, value in flags if value is not None)
     config = config_from_mapping(raw)
     records = sweep(config)
     emit(records, args.format, args.out or sys.stdout, config, include_timings=args.timings)
@@ -202,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="sample a graph to a file")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--q", type=int, default=None)
     p_gen.add_argument("--alpha", type=_comma_list(float), required=True, help="e.g. 0.5,0.25,0.25")
     p_gen_edge = p_gen.add_mutually_exclusive_group(required=True)
     p_gen_edge.add_argument("--p", type=float, help="edge probability")
@@ -242,13 +239,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="seeded Monte Carlo sweep over an omega grid")
     p_sweep.add_argument("--config", default=None, help="key = value config file")
     p_sweep.add_argument("--n", type=int, default=None)
-    p_sweep.add_argument("--q", type=int, default=None)
     p_sweep.add_argument("--alpha", default=None)
     p_sweep.add_argument("--omega-grid", default=None, help="e.g. -6*llog,-3*llog,0,3*llog,6*llog")
     p_sweep.add_argument("--trials", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--suite", default=None, help="corners | random:K | explicit:a,b;c,d")
-    p_sweep.add_argument("--checks", default=None, help="comma list: per_color_pm,walk,isolated,mcp_exact")
+    p_sweep.add_argument("--seed", type=int, default=None, dest="base_seed", metavar="SEED")
+    p_sweep.add_argument(
+        "--suite", default=None, dest="profile_suite", metavar="SUITE",
+        help="corners | random:K | explicit:a,b;c,d",
+    )
+    p_sweep.add_argument(
+        "--checks", default=None,
+        help="comma list: " + ",".join(f.name for f in fields(CheckFlags)),
+    )
     p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")

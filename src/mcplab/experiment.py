@@ -4,8 +4,9 @@ A trial samples one graph at p = (log n + omega) / (alpha_min * n) and runs
 the enabled checks; a sweep runs a grid of omega values times a trial
 count.  Every trial derives its own seed from (base_seed, grid_index,
 trial_index) through the documented mix in :mod:`mcplab.rng`, so trials are
-order- and worker-independent: records are keyed and sorted by index and
-the emitted files are byte-identical however the work was scheduled.
+order- and worker-independent: records come back in (grid, trial) index
+order and the emitted files are byte-identical however the work was
+scheduled.
 
 Wall-clock timings are measured and kept on the records but excluded from
 emitted files unless explicitly requested, because emission must be
@@ -22,7 +23,8 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import product, repeat
 
 from .audit import isolated_color_vertices
 from .errors import NoPerfectMatchingError, ValidationError
@@ -247,32 +249,26 @@ def run_trial(
     )
 
 
-def _trial_job(args: tuple[ExperimentConfig, int, int]) -> TrialRecord:
-    return run_trial(*args)
-
-
 def sweep(config: ExperimentConfig) -> list[TrialRecord]:
     """All (grid, trial) records, ordered by (grid_index, trial_index)."""
-    jobs = [
-        (config, gi, ti)
-        for gi in range(len(config.omega_grid))
-        for ti in range(config.trials)
-    ]
-    for gi in range(len(config.omega_grid)):
-        omega = config.omega_grid[gi]
+    for omega in config.omega_grid:
         if omega >= math.log(config.n):
             print(
                 f"warning: omega={omega:g} >= log n={math.log(config.n):.4f} "
                 "(outside the diverging-but-o(log n) regime)",
                 file=sys.stderr,
             )
+    grid_indices, trial_indices = zip(
+        *product(range(len(config.omega_grid)), range(config.trials))
+    )
+    # Both maps return results in input order.  run_trial is read at call
+    # time, so perfbench's tracer can rebind it.
     if config.workers == 1:
-        records = [_trial_job(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_trial_job, jobs, chunksize=1))
-    records.sort(key=lambda r: (r.grid_index, r.trial_index))
-    return records
+        return list(map(run_trial, repeat(config), grid_indices, trial_indices))
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        return list(
+            pool.map(run_trial, repeat(config), grid_indices, trial_indices, chunksize=1)
+        )
 
 
 # -- aggregation -------------------------------------------------------------
@@ -357,50 +353,41 @@ def _profile_str(profile: tuple[int, ...]) -> str:
 def record_rows(
     record: TrialRecord, config: ExperimentConfig, include_timings: bool = False
 ) -> list[dict]:
-    """The deterministic per-check rows for one record.
+    """The deterministic per-check rows for one record, keyed by ``CSV_HEADER``.
 
     For the isolated check, ``steps`` carries the isolated-vertex count
     (both sides) and success means the color class has none.  The ``ms``
     column is zero unless timings were requested.
     """
-    q = config.colors.q
-    n = config.n
-    rows: list[dict] = []
-
-    def base(check: str, target: str, success: bool, steps: int, retries: int, ms: float):
-        rows.append(
-            {
-                "omega": record.omega,
-                "p": record.p,
-                "trial": record.trial_index,
-                "seed": record.derived_seed,
-                "check": check,
-                "target_profile": target,
-                "success": int(success),
-                "steps": steps,
-                "retries": retries,
-                "ms": ms if include_timings else 0.0,
-            }
-        )
-
+    q, n = config.colors.q, config.n
+    corners = [_profile_str(_corner(q, i, n)) for i in range(1, q + 1)]
+    cells: list[tuple[str, str, bool, int, int, float]] = []
     if record.pm_success is not None:
-        for i in range(1, q + 1):
-            corner = _profile_str(_corner(q, i, n))
-            base("per_color_pm", corner, record.pm_success[i - 1], 0, 0, 0.0)
+        cells += [
+            ("per_color_pm", c, ok, 0, 0, 0.0) for c, ok in zip(corners, record.pm_success)
+        ]
     if record.walks is not None:
-        for row in record.walks:
-            base("walk", _profile_str(row.profile), row.success, row.steps, row.retries, row.ms)
+        cells += [
+            ("walk", _profile_str(w.profile), w.success, w.steps, w.retries, w.ms)
+            for w in record.walks
+        ]
     if record.isolated_counts is not None:
-        for i in range(1, q + 1):
-            a_cnt, b_cnt = record.isolated_counts[i - 1]
-            corner = _profile_str(_corner(q, i, n))
-            base("isolated", corner, a_cnt + b_cnt == 0, a_cnt + b_cnt, 0, 0.0)
+        cells += [
+            ("isolated", c, a + b == 0, a + b, 0, 0.0)
+            for c, (a, b) in zip(corners, record.isolated_counts)
+        ]
     if record.mcp_walk_agreement is not None:
-        base(
-            "mcp_exact", "", record.mcp_walk_agreement,
-            len(record.mcp_profiles or ()), 0, 0.0,
+        cells.append(
+            ("mcp_exact", "", record.mcp_walk_agreement, len(record.mcp_profiles or ()), 0, 0.0)
         )
-    return rows
+    head = (record.omega, record.p, record.trial_index, record.derived_seed)
+    return [
+        dict(zip(CSV_HEADER, (
+            *head, check, target, int(success), steps, retries,
+            ms if include_timings else 0.0,
+        )))
+        for check, target, success, steps, retries, ms in cells
+    ]
 
 
 def emit(
@@ -425,24 +412,12 @@ def emit(
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for row in rows:
-            writer.writerow(
-                [
-                    repr(row["omega"]),
-                    repr(row["p"]),
-                    row["trial"],
-                    row["seed"],
-                    row["check"],
-                    row["target_profile"],
-                    row["success"],
-                    row["steps"],
-                    row["retries"],
-                    f"{row['ms']:.3f}",
-                ]
-            )
+            omega, p, *middle, ms = row.values()
+            writer.writerow([repr(omega), repr(p), *middle, f"{ms:.3f}"])
     else:
         for row in rows:
-            out = dict(row)
-            out["ms"] = round(out["ms"], 3)
+            *cells, ms = row.values()
+            out = dict(zip(CSV_HEADER, (*cells, round(ms, 3))))
             buf.write(json.dumps(out, separators=(",", ":")) + "\n")
     data = buf.getvalue()
     if hasattr(destination, "write"):
@@ -454,9 +429,12 @@ def emit(
 
 # -- config files ------------------------------------------------------------
 #
-# Flat key = value lines; '#' starts a comment line; keys are:
-#   n, alpha, omega_grid, trials, base_seed, profile_suite, checks, workers
-# omega entries accept plain numbers or "k*llog" meaning k * log log n.
+# Flat key = value lines; '#' starts a comment line.  omega entries accept
+# plain numbers or "k*llog" meaning k * log log n.
+
+_CONFIG_KEYS = (
+    "n", "alpha", "omega_grid", "trials", "base_seed", "profile_suite", "checks", "workers",
+)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -468,7 +446,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValidationError(f"config line {line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValidationError(f"config line {line_no}: repeated key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -488,10 +469,12 @@ def parse_omega(token: str, n: int) -> float:
 
 
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValidationError(f"unknown config keys {unknown}; expected {list(_CONFIG_KEYS)}")
     try:
         n = int(raw["n"])
         alphas = tuple(float(t) for t in raw["alpha"].split(","))
-        q = int(raw.get("q", len(alphas)))
         trials = int(raw.get("trials", "1"))
         base_seed = int(raw.get("base_seed", "1"))
         grid = tuple(
@@ -508,9 +491,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     except ValueError as exc:
         raise ValidationError(f"bad config value: {exc}") from None
     colors = ColorSpec(len(alphas), alphas)
-    if q != colors.q:
-        raise ValidationError("q does not match the number of alphas")
-    checks = parse_checks(raw.get("checks", "per_color_pm,walk,isolated"))
+    checks = parse_checks(raw["checks"]) if "checks" in raw else CheckFlags()
     return ExperimentConfig(
         n=n,
         colors=colors,
@@ -541,14 +522,10 @@ def parse_suite(spec: str) -> tuple[str, int, tuple[tuple[int, ...], ...]]:
 
 
 def parse_checks(spec: str) -> CheckFlags:
+    """The checks named in a comma list on; every other ``CheckFlags`` field off."""
     names = {t.strip() for t in spec.split(",") if t.strip()}
-    known = {"per_color_pm", "walk", "isolated", "mcp_exact"}
-    unknown = names - known
+    known = [f.name for f in fields(CheckFlags)]
+    unknown = names - set(known)
     if unknown:
         raise ValidationError(f"unknown checks: {sorted(unknown)}")
-    return CheckFlags(
-        per_color_pm="per_color_pm" in names,
-        walk="walk" in names,
-        isolated="isolated" in names,
-        mcp_exact="mcp_exact" in names,
-    )
+    return CheckFlags(**{name: name in names for name in known})

@@ -21,8 +21,8 @@ the source-color anchors in increasing order); its constructor checks the
 matching once.  Its one ``step`` re-verifies the cycle it finds and toggles
 it in place, so besides the search a step does O(cycle length + anchor
 draws) Python-level work.  ``achieve_profile`` steps one state for the whole
-walk and builds one ``Matching`` at the end.  The public step functions build
-a fresh state per call, because they take and return immutable
+walk and builds one ``Matching`` at the end.  The public step functions,
+``find_recoloring_cycle`` and ``apply_cycle``, take and return immutable
 ``Matching``s, so each call costs O(n) by design.
 """
 
@@ -74,18 +74,10 @@ class AlternatingCycle:
         return len(self.a_seq)
 
 
-def validate_cycle(
-    g: ColoredBipartiteGraph, m: Matching, cycle: AlternatingCycle
-) -> str | None:
-    """Return None if the cycle satisfies every invariant, else the violated clause."""
-    if len(m.assign) != g.n:
-        return f"matching has {len(m.assign)} A-vertices, graph has {g.n}"
-    return _cycle_violation(g, m.assign, cycle)
-
-
 def _cycle_violation(
     g: ColoredBipartiteGraph, assign: Sequence[int], cycle: AlternatingCycle
 ) -> str | None:
+    """None if the cycle satisfies every invariant, else the violated clause."""
     a_seq, b_seq = cycle.a_seq, cycle.b_seq
     ell = len(a_seq)
     if ell < 1 or len(b_seq) != ell:
@@ -121,7 +113,9 @@ def apply_cycle(
 
     Takes and returns an immutable ``Matching``, so each call costs O(n).
     """
-    clause = validate_cycle(g, m, cycle)
+    if len(m.assign) != g.n:
+        raise InvalidCycleError(f"matching has {len(m.assign)} A-vertices, graph has {g.n}")
+    clause = _cycle_violation(g, m.assign, cycle)
     if clause is not None:
         raise InvalidCycleError(clause)
     assign = list(m.assign)
@@ -277,20 +271,6 @@ class _WalkState:
         return Matching(tuple(self.assign))
 
 
-def _public_step(
-    g: ColoredBipartiteGraph, m: Matching, from_color: int, to_color: int, seed: int
-) -> tuple[_WalkState, AlternatingCycle | None]:
-    """The public step functions' core: argument checks, a fresh state, one step."""
-    if from_color == to_color:
-        raise ValidationError("from_color and to_color must differ")
-    g._check_color(from_color)
-    g._check_color(to_color)
-    state = _WalkState(g, m, from_color)
-    if not state.anchors:
-        raise NoSourceEdgesError(f"matching has no edge of color {from_color}")
-    return state, state.step(to_color, seed)[0]
-
-
 def find_recoloring_cycle(
     g: ColoredBipartiteGraph,
     m: Matching,
@@ -303,19 +283,14 @@ def find_recoloring_cycle(
     Takes an immutable ``Matching`` and rederives the walk state from it,
     so each call costs O(n) before the search starts.
     """
-    return _public_step(g, m, from_color, to_color, rng_seed)[1]
-
-
-def recolor_step(
-    g: ColoredBipartiteGraph,
-    m: Matching,
-    from_color: int,
-    to_color: int,
-    seed: int = 0,
-) -> tuple[Matching, AlternatingCycle] | None:
-    """Find and apply one recoloring cycle; None when the search fails."""
-    state, cyc = _public_step(g, m, from_color, to_color, seed)
-    return None if cyc is None else (state.matching(), cyc)
+    if from_color == to_color:
+        raise ValidationError("from_color and to_color must differ")
+    g._check_color(from_color)
+    g._check_color(to_color)
+    state = _WalkState(g, m, from_color)
+    if not state.anchors:
+        raise NoSourceEdgesError(f"matching has no edge of color {from_color}")
+    return state.step(to_color, rng_seed)[0]
 
 
 @dataclass(frozen=True)

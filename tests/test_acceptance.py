@@ -23,6 +23,7 @@ from mcplab import (
     ExperimentConfig,
     SampleParams,
     achieve_profile,
+    apply_cycle,
     default_constants,
     dense_cut_witness,
     empty_cut_witness,
@@ -30,11 +31,11 @@ from mcplab import (
     enumerate_mcp,
     enumerate_mcp_naive,
     expansion_trace,
+    find_recoloring_cycle,
     high_degree_witness,
     low_degree_witness,
     monochromatic_perfect_matching,
     profile_of,
-    recolor_step,
     sample_graph,
     summarize,
     sweep,
@@ -124,10 +125,10 @@ def test_criterion_3_step_conservation():
         for step in range(40):
             to_color = 2 + (step % (colors.q - 1))
             before = profile_of(g, m)
-            out = recolor_step(g, m, 1, to_color, seed=derive_seed(seed, step))
-            if out is None:
+            cyc = find_recoloring_cycle(g, m, 1, to_color, rng_seed=derive_seed(seed, step))
+            if cyc is None:
                 break
-            m, _ = out
+            m = apply_cycle(g, m, cyc)
             after = profile_of(g, m)
             delta = tuple(a - b for a, b in zip(after, before))
             expect = tuple(

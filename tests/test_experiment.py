@@ -140,8 +140,22 @@ workers = 1
             config_from_mapping({"alpha": "0.5,0.5"})
 
     def test_q_mismatch(self):
-        with pytest.raises(ValidationError):
+        # q is len(alpha), so a q key is unknown rather than a second source.
+        with pytest.raises(ValidationError, match="unknown config keys"):
             config_from_mapping({"n": "10", "alpha": "0.5,0.5", "q": "3"})
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("trails = 50\n", r"unknown config keys \['trails'\]"),
+            ("trials = 2\ntrials = 3\n", "config line 4: repeated key 'trials'"),
+        ],
+        ids=["unknown_key", "repeated_key"],
+    )
+    def test_bad_key_rejected(self, extra, message):
+        # A misspelt or repeated key must not silently change the sweep.
+        with pytest.raises(ValidationError, match=message):
+            config_from_mapping(parse_config_text("n = 30\nalpha = 0.5,0.5\n" + extra))
 
 
 class TestSuite:

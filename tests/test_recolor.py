@@ -19,10 +19,8 @@ from mcplab import (
     find_recoloring_cycle,
     monochromatic_perfect_matching,
     profile_of,
-    recolor_step,
     sample_graph,
     threshold_p,
-    validate_cycle,
     verify_matching,
 )
 from mcplab.errors import ValidationError
@@ -39,7 +37,7 @@ class TestFindCycle:
         m = identity_matching(3)
         cyc = find_recoloring_cycle(f3, m, 1, 2, rng_seed=5)
         assert cyc is not None
-        assert validate_cycle(f3, m, cyc) is None
+        apply_cycle(f3, m, cyc)  # raises InvalidCycleError on a bad cycle
         # the only qualifying cycle swaps rows 0 and 1
         assert sorted(cyc.a_seq) == [0, 1] and sorted(cyc.b_seq) == [0, 1]
         assert (cyc.a_seq[cyc.special_index], cyc.b_seq[cyc.special_index]) == (0, 1)
@@ -65,8 +63,6 @@ class TestFindCycle:
     def test_imperfect_matching_rejected(self, f1, m):
         with pytest.raises(ValidationError):
             find_recoloring_cycle(f1, m, 1, 2)
-        with pytest.raises(ValidationError):
-            recolor_step(f1, m, 1, 2)
 
     def test_cycles_reverified_on_random_instances(self):
         found = 0
@@ -78,7 +74,8 @@ class TestFindCycle:
             cyc = find_recoloring_cycle(g, m, 1, 2, rng_seed=1)
             if cyc is not None:
                 found += 1
-                assert validate_cycle(g, m, cyc) is None
+                m2 = apply_cycle(g, m, cyc)  # raises InvalidCycleError on a bad cycle
+                assert verify_matching(g, m2, require_perfect=True) is None
         assert found > 10  # dense instances should usually admit a cycle
 
 
@@ -114,29 +111,28 @@ class TestApplyCycle:
         # (0, 1) has no UNMATCHED entry, but f3 has 3 A-vertices
         cyc = find_recoloring_cycle(f3, identity_matching(3), 1, 2, rng_seed=5)
         short = Matching((0, 1))
-        assert validate_cycle(f3, short, cyc) is not None
-        with pytest.raises(InvalidCycleError):
+        with pytest.raises(InvalidCycleError, match="2 A-vertices, graph has 3"):
             apply_cycle(f3, short, cyc)
 
     def test_wrong_color_rejected(self, f3):
         # (1, 0) has color 1 but is claimed as the special (color-2) edge
         bad = AlternatingCycle((1, 0), (0, 1), 0, 1, 2)
         m = identity_matching(3)
-        assert validate_cycle(f3, m, bad) is not None
-        with pytest.raises(InvalidCycleError):
+        with pytest.raises(InvalidCycleError, match="has color 1, expected 2"):
             apply_cycle(f3, m, bad)
 
 
 class TestRecolorStep:
+    # One step through the public functions: find a cycle, then apply it.
+
     def test_f3_step(self, f3):
         m = identity_matching(3)
-        out = recolor_step(f3, m, 1, 2, seed=5)
-        assert out is not None
-        m2, cyc = out
-        assert profile_of(f3, m2) == (2, 1)
+        cyc = find_recoloring_cycle(f3, m, 1, 2, rng_seed=5)
+        assert cyc is not None
+        assert profile_of(f3, apply_cycle(f3, m, cyc)) == (2, 1)
 
     def test_f1_step_not_found(self, f1):
-        assert recolor_step(f1, identity_matching(2), 1, 2, seed=5) is None
+        assert find_recoloring_cycle(f1, identity_matching(2), 1, 2, rng_seed=5) is None
 
     def test_conservation_on_random_instances(self):
         checked = 0
@@ -146,10 +142,10 @@ class TestRecolorStep:
             except Exception:
                 continue
             before = profile_of(g, m)
-            out = recolor_step(g, m, 1, 2, seed=3)
-            if out is None:
+            cyc = find_recoloring_cycle(g, m, 1, 2, rng_seed=3)
+            if cyc is None:
                 continue
-            m2, _ = out
+            m2 = apply_cycle(g, m, cyc)
             after = profile_of(g, m2)
             assert verify_matching(g, m2, require_perfect=True) is None
             delta = [a - b for a, b in zip(after, before)]
@@ -186,8 +182,8 @@ class TestRecolorStep:
                     for seed in range(3):
                         cyc = find_recoloring_cycle(g, m, i, j, rng_seed=seed)
                         key = None if cyc is None else (cyc.a_seq, cyc.b_seq, cyc.special_index)
-                        step = recolor_step(g, m, i, j, seed=seed)
-                        h.update(repr((key, None if step is None else step[0].assign)).encode())
+                        after = None if cyc is None else apply_cycle(g, m, cyc).assign
+                        h.update(repr((key, after)).encode())
         assert h.hexdigest() == want
 
     def test_monte_carlo_above_threshold(self):
@@ -204,7 +200,7 @@ class TestRecolorStep:
                 m = monochromatic_perfect_matching(g, 1)
             except Exception:
                 continue
-            if recolor_step(g, m, 1, 2, seed=seed) is not None:
+            if find_recoloring_cycle(g, m, 1, 2, rng_seed=seed) is not None:
                 ok += 1
         assert ok >= 0.95 * trials
 
@@ -311,7 +307,7 @@ class TestAchieveProfile:
 
     @staticmethod
     def replay(g, target, seed):
-        """Re-run achieve_profile's walk one public recolor_step at a time.
+        """Re-run achieve_profile's walk one public step at a time.
 
         Returns (final matching or None, cycle lengths, retries, profile
         reached).  The anchor a step succeeds from lies on its cycle and every
@@ -334,11 +330,11 @@ class TestAchieveProfile:
                 order = random.Random(step_seed).sample(
                     anchors, min(len(anchors), ANCHOR_BUDGET)
                 )
-                out = recolor_step(g, m, i_star, j, seed=step_seed)
-                if out is None:
+                cyc = find_recoloring_cycle(g, m, i_star, j, rng_seed=step_seed)
+                if cyc is None:
                     retries.append(len(order) - 1)
                     return None, cycle_lengths, retries, tuple(counts)
-                m, cyc = out
+                m = apply_cycle(g, m, cyc)
                 on_cycle = set(cyc.a_seq)
                 retries.append(next(k for k, a in enumerate(order) if a in on_cycle))
                 cycle_lengths.append(len(cyc))
