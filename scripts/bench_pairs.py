@@ -15,7 +15,15 @@ the host fall on both sides alike.  The last JSON line of every run is kept.
 
 For each workload, seed and trace setting, the output records per metric
 each side's median and quartiles, how many pairs the change won (ties count
-for neither side), and every raw value; ``wall_s`` is the run's wall time.
+for neither side), every raw value and a verdict; ``wall_s`` is the run's
+wall time.  The verdict reads ``gain`` when at least ten pairs ran, the
+change won >= 9/10 of them and its median beats the parent's by more than
+the parent's IQR.
+Otherwise, for an end-to-end metric whose change median is worse than the
+parent's by more than its bound in BENCHMARK.json, it reads ``regression``
+when the parent's IQR is narrower than that bound and ``unresolved`` when it
+is wider; any other end-to-end metric reads ``within_bound``, and a metric
+with no bound reads ``no_bound``.
 ``--scaling`` instead times the sampling, scan, graph build and
 Hopcroft-Karp layers per trial (perfbench's tracer) at each n, q = 2,
 omega = 0, as the median of three runs of four trials per side.  Results merge
@@ -73,8 +81,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Medians, quartiles and pairwise wins of paired parent/change values."""
+def summarize(
+    parent: list[float], change: list[float], better: str, bound: float | None = None
+) -> dict:
+    """Medians, quartiles, pairwise wins and the verdict of paired values.
+
+    ``bound`` is the metric's end-to-end bound as a fraction of the parent's
+    median, or None for a metric without one.
+    """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change values")
     sign = 1 if better == "higher" else -1
@@ -84,13 +98,24 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     for side, values in (("parent", parent), ("change", change)):
         q1, med, q3 = quartiles(values)
         out[side] = {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
+    base, iqr = out["parent"]["median"], out["parent"]["iqr"]
+    gap = sign * (out["change"]["median"] - base)  # > 0: the change is better
+    if len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > iqr:
+        out["verdict"] = "gain"
+    elif bound is None:
+        out["verdict"] = "no_bound"
+    elif -gap > bound * abs(base):
+        out["verdict"] = "unresolved" if iqr > bound * abs(base) else "regression"
+    else:
+        out["verdict"] = "within_bound"
     return out
 
 
-def metric_directions() -> dict[str, str]:
+def metric_specs() -> dict[str, tuple[str, float | None]]:
+    """Each metric's better direction and end-to-end bound (None: per layer)."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    out = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    out["wall_s"] = "lower"
+    out = {m["name"]: (m["better"], m.get("bound")) for m in spec["end_to_end"] + spec["per_layer"]}
+    out["wall_s"] = ("lower", None)
     return out
 
 
@@ -133,7 +158,7 @@ def ordered(sides: dict[str, Path], index: int) -> list[tuple[str, Path]]:
     return pair if index % 2 == 0 else pair[::-1]
 
 
-def compare_runs(sides, workload, seed, seconds, trace, pairs, directions) -> dict:
+def compare_runs(sides, workload, seed, seconds, trace, pairs, specs) -> dict:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(pairs):
         for side, root in ordered(sides, i):
@@ -150,7 +175,7 @@ def compare_runs(sides, workload, seed, seconds, trace, pairs, directions) -> di
             side: [r["wall_s"] if name == "wall_s" else r["metrics"][name]["value"] for r in rs]
             for side, rs in runs.items()
         }
-        metrics[name] = summarize(values["parent"], values["change"], directions[name])
+        metrics[name] = summarize(values["parent"], values["change"], *specs[name])
     return {
         "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
                    f"--seconds {seconds} --trace {trace}",
@@ -215,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     out = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     out["parent"] = rev
     out["machine"] = machine()
-    directions = metric_directions()
+    specs = metric_specs()
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_root = Path(tmp) / "tree"
         export(rev, parent_root)
@@ -225,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
             for seed in args.seeds:
                 key = f"{workload}/seed{seed}/trace{args.trace}"
                 runs[key] = compare_runs(
-                    sides, workload, seed, args.seconds, args.trace, args.pairs, directions
+                    sides, workload, seed, args.seconds, args.trace, args.pairs, specs
                 )
         if args.scaling:
             out["scaling"] = {

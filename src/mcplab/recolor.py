@@ -18,9 +18,10 @@ only ever removes reachable cycles.
 Walk state: ``_WalkState`` is the one place where a perfect matching becomes
 mutable arrays (``assign``, ``inverse``, each A-vertex's matched color, and
 the source-color anchors in increasing order); its constructor checks the
-matching once.  Its one ``step`` re-verifies the cycle it finds and toggles
-it in place, so besides the search a step does O(cycle length + anchor
-draws) Python-level work.  ``achieve_profile`` steps one state for the whole
+matching once.  Its one ``step`` draws anchors one at a time until the first
+cycle, re-verifies that cycle and toggles it in place, so besides the search
+a step does O(cycle length + anchors drawn until the first cycle)
+Python-level work.  ``achieve_profile`` steps one state for the whole
 walk and builds one ``Matching`` at the end.  The public step functions,
 ``find_recoloring_cycle`` and ``apply_cycle``, take and return immutable
 ``Matching``s, so each call costs O(n) by design.
@@ -28,11 +29,12 @@ walk and builds one ``Matching`` at the end.  The public step functions,
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     InvalidCycleError,
@@ -77,8 +79,13 @@ class AlternatingCycle:
 def _cycle_violation(
     g: ColoredBipartiteGraph, assign: Sequence[int], cycle: AlternatingCycle
 ) -> str | None:
-    """None if the cycle satisfies every invariant, else the violated clause."""
+    """None if the cycle satisfies every invariant, else the violated clause.
+
+    An edge has one color, so finding b in a's row of the wanted color
+    decides the edge's color; ``color_of`` runs only to word a failure.
+    """
     a_seq, b_seq = cycle.a_seq, cycle.b_seq
+    from_color, n = cycle.from_color, g.n
     ell = len(a_seq)
     if ell < 1 or len(b_seq) != ell:
         return f"length: |a_seq|={ell}, |b_seq|={len(b_seq)}"
@@ -86,23 +93,31 @@ def _cycle_violation(
         return f"special_index {cycle.special_index} out of range"
     if len(set(a_seq)) != ell or len(set(b_seq)) != ell:
         return "simplicity: repeated vertex"
+
+    # a color out of range has no edges
+    src_rows, tgt_rows = (
+        g._adj_a[c - 1] if 1 <= c <= g.q else ((),) * n for c in (from_color, cycle.to_color)
+    )
     for j in range(ell):
         a, b = a_seq[j], b_seq[j]
-        c = g.color_of(a, b)
-        if c is None:
-            return f"non-matching edge ({a}, {b}) absent from graph"
+        special = j == cycle.special_index
+        want = cycle.to_color if special else from_color
+        if not (0 <= a < n and b in (tgt_rows if special else src_rows)[a]):
+            c = g.color_of(a, b)
+            if c is None:
+                return f"non-matching edge ({a}, {b}) absent from graph"
+            if assign[a] == b:
+                return f"edge ({a}, {b}) is a matching edge"
+            return f"non-matching edge ({a}, {b}) has color {c}, expected {want}"
         if assign[a] == b:
             return f"edge ({a}, {b}) is a matching edge"
-        want = cycle.to_color if j == cycle.special_index else cycle.from_color
-        if c != want:
-            return f"non-matching edge ({a}, {b}) has color {c}, expected {want}"
         # the matching edge into a; a is known to be in range from here on
         b_prev = b_seq[j - 1]
         if assign[a] != b_prev:
             return f"({b_prev}, {a}) is not a matching edge"
-        mc = g.color_of(a, b_prev)
-        if mc != cycle.from_color:
-            return f"matching edge ({a}, {b_prev}) has color {mc}, expected {cycle.from_color}"
+        if b_prev not in src_rows[a]:
+            mc = g.color_of(a, b_prev)
+            return f"matching edge ({a}, {b_prev}) has color {mc}, expected {from_color}"
     return None
 
 
@@ -127,26 +142,30 @@ def apply_cycle(
 def _splice(
     a: int,
     b: int,
-    parent_a: dict[int, tuple[int, int] | None],
-    parent_b: dict[int, tuple[int, int] | None],
+    parent_a: dict[int, int | None],
+    parent_b: dict[int, int | None],
+    assign: Sequence[int],
+    inverse: Sequence[int],
     from_color: int,
     to_color: int,
 ) -> AlternatingCycle | None:
-    """Join tree paths and the anchor edge into a cycle; None if not simple."""
+    """Join tree paths and the anchor edge into a cycle; None if not simple.
+
+    A tree vertex was reached through its own matching edge, so the vertex
+    between it and its parent is its matching partner.
+    """
     b_chain = [b]
     a_chain_b: list[int] = []
     cur = b
-    while parent_b[cur] is not None:
-        a_via, prev_b = parent_b[cur]
-        a_chain_b.append(a_via)
+    while (prev_b := parent_b[cur]) is not None:
+        a_chain_b.append(inverse[cur])
         b_chain.append(prev_b)
         cur = prev_b
     a_chain_f = [a]
     b_chain_f: list[int] = []
     cur = a
-    while parent_a[cur] is not None:
-        b_via, prev_a = parent_a[cur]
-        b_chain_f.append(b_via)
+    while (prev_a := parent_a[cur]) is not None:
+        b_chain_f.append(assign[cur])
         a_chain_f.append(prev_a)
         cur = prev_a
     a_fwd = a_chain_f[::-1]  # anchor a0 ... a
@@ -167,59 +186,115 @@ def _search_from_anchor(
     a0: int,
     match_colors: list[int],
 ) -> AlternatingCycle | None:
+    """The first cycle through the anchor (a0, assign[a0]), or None.
+
+    Both trees grow one layer at a time.  At each layer the A-side crossing
+    scan runs first, over the new A-vertices in the order they joined, then
+    the B-side scan; the first crossing edge whose splice is simple wins.
+    The B side of a layer is expanded before the A side, so each A-vertex is
+    scanned as it joins its tree, against a complete B tree: the order of
+    the scans, and so the cycle found, is that of scanning whole layers,
+    while the rest of the A layer is never built.
+    """
     b0 = assign[a0]
     adj_src_a = g._adj_a[from_color - 1]
     adj_src_b = g._adj_b[from_color - 1]
     adj_tgt_a = g._adj_a[to_color - 1]
     adj_tgt_b = g._adj_b[to_color - 1]
 
-    parent_a: dict[int, tuple[int, int] | None] = {a0: None}
-    parent_b: dict[int, tuple[int, int] | None] = {b0: None}
+    # Each tree vertex maps to the previous vertex on its side (None at the root).
+    parent_a: dict[int, int | None] = {a0: None}
+    parent_b: dict[int, int | None] = {b0: None}
+    keys_a, keys_b = parent_a.keys(), parent_b.keys()
+    # a0's own scan finds nothing: (a0, b0) carries the source color only.
     new_a, new_b = [a0], [b0]
     tried: set[tuple[int, int]] = set()
 
+    # A row with no vertex in the other tree holds no crossing, so skipping
+    # it keeps the first hit the same.  A vertex's own matching edge leads
+    # back into its own tree, so the ``in parent_*`` tests also reject it
+    # as a step.
     while new_a or new_b:
-        # Crossing scan over the vertices added in the last layer.
-        for a in new_a:
-            for b in adj_tgt_a[a]:
-                if b in parent_b and (a, b) not in tried:
-                    tried.add((a, b))
-                    cyc = _splice(a, b, parent_a, parent_b, from_color, to_color)
-                    if cyc is not None:
-                        return cyc
         for b in new_b:
-            for a in adj_tgt_b[b]:
+            row = adj_tgt_b[b]
+            if keys_a.isdisjoint(row):
+                continue
+            for a in row:
                 if a in parent_a and (a, b) not in tried:
                     tried.add((a, b))
-                    cyc = _splice(a, b, parent_a, parent_b, from_color, to_color)
+                    cyc = _splice(a, b, parent_a, parent_b, assign, inverse, from_color, to_color)
                     if cyc is not None:
                         return cyc
 
-        next_a: list[int] = []
-        for a in new_a:
-            for b in adj_src_a[a]:
-                if b == assign[a]:
-                    continue  # the matching edge is not a forward step
-                a2 = inverse[b]
-                # b's own matching edge must carry the source color
-                if match_colors[a2] != from_color or a2 in parent_a:
-                    continue
-                parent_a[a2] = (b, a)
-                next_a.append(a2)
         next_b: list[int] = []
         for b in new_b:
             for a in adj_src_b[b]:
-                if a == inverse[b]:
-                    continue
                 if match_colors[a] != from_color:
                     continue
                 b2 = assign[a]
                 if b2 in parent_b:
                     continue
-                parent_b[b2] = (a, b)
+                parent_b[b2] = b
                 next_b.append(b2)
+        next_a: list[int] = []
+        for a in new_a:
+            for b in adj_src_a[a]:
+                a2 = inverse[b]
+                # b's own matching edge must carry the source color
+                if a2 in parent_a or match_colors[a2] != from_color:
+                    continue
+                parent_a[a2] = a
+                next_a.append(a2)
+                row = adj_tgt_a[a2]
+                if keys_b.isdisjoint(row):
+                    continue
+                for b2 in row:
+                    if b2 in parent_b and (a2, b2) not in tried:
+                        tried.add((a2, b2))
+                        cyc = _splice(
+                            a2, b2, parent_a, parent_b, assign, inverse, from_color, to_color
+                        )
+                        if cyc is not None:
+                            return cyc
         new_a, new_b = next_a, next_b
     return None
+
+
+def _anchor_draws(rng: random.Random, anchors: Sequence[int]) -> Iterator[int]:
+    """Yield ``rng.sample(anchors, k)``'s items one at a time.
+
+    k = min(len(anchors), ANCHOR_BUDGET).  The order is CPython 3.11's
+    ``sample``, replayed with the public ``rng.getrandbits`` the way its
+    ``_randbelow_with_getrandbits`` draws, on both of its paths: a pool of
+    moved slots when the population fits a k-item set's table, a set of
+    drawn indices above that.  A caller that stops early draws no more.
+    The golden and mixed-start digests pin this order, which no longer
+    depends on the installed Python's ``sample``.
+    """
+    n = len(anchors)
+    k = min(n, ANCHOR_BUDGET)
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        moved: dict[int, int] = {}  # pool slot -> population index now in it
+        for size in range(n, n - k, -1):
+            bits = size.bit_length()
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            yield anchors[moved.get(j, j)]
+            moved[j] = moved.get(size - 1, size - 1)
+    else:
+        bits = n.bit_length()
+        selected: set[int] = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            yield anchors[j]
 
 
 class _WalkState:
@@ -232,9 +307,10 @@ class _WalkState:
     def __init__(self, g: ColoredBipartiteGraph, m: Matching, source: int):
         if len(m.assign) != g.n or not m.is_perfect:
             raise ValidationError(f"matching must be perfect on {g.n} A-vertices")
+        source_rows = g._adj_a[source - 1]
         colors = []
         for a, b in enumerate(m.assign):
-            c = g.color_of(a, b)
+            c = source if b in source_rows[a] else g.color_of(a, b)
             if c is None:
                 raise ValidationError(f"matched pair ({a}, {b}) is not an edge")
             colors.append(c)
@@ -245,13 +321,14 @@ class _WalkState:
     def step(self, to_color: int, seed: int) -> tuple[AlternatingCycle | None, int]:
         """Find a source -> to_color cycle and toggle it in place.
 
-        The seeded draw from the anchors fixes which are tried.  Returns
-        (cycle or None, anchors tried).
+        The seeded draw from the anchors fixes which are tried, in order,
+        until one closes a cycle.  Returns (cycle or None, anchors tried).
         """
         g, assign, inverse = self.g, self.assign, self.inverse
         colors, anchors, source = self.colors, self.anchors, self.source
-        order = random.Random(seed).sample(anchors, min(len(anchors), ANCHOR_BUDGET))
-        for tried, a0 in enumerate(order, start=1):
+        tried = 0
+        for a0 in _anchor_draws(random.Random(seed), anchors):
+            tried += 1
             cyc = _search_from_anchor(g, assign, inverse, source, to_color, a0, colors)
             if cyc is not None:
                 clause = _cycle_violation(g, assign, cyc)  # re-verify, never trust the search
@@ -265,7 +342,7 @@ class _WalkState:
                 colors[a] = to_color
                 del anchors[bisect_left(anchors, a)]
                 return cyc, tried
-        return None, len(order)
+        return None, tried
 
     def matching(self) -> Matching:
         return Matching(tuple(self.assign))

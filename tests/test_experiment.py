@@ -329,8 +329,9 @@ class TestSweepAndEmit:
                 },
                 id="n60",
             ),
-            # more than 277 source-color anchors: random.sample switches from
-            # copying a pool to set-based rejection, so both draw paths are pinned
+            # more than 277 source-color anchors: the anchor draws switch, as
+            # random.sample does, from a pool to set-based rejection, so both
+            # draw paths are pinned
             pytest.param(
                 400, (3.0,), 2, 2, False,
                 {

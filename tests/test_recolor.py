@@ -1,9 +1,10 @@
 import hashlib
 import random
+from functools import lru_cache
 
 import pytest
 
-from conftest import instance_grid
+from conftest import F1_EDGES, F3_EDGES, instance_grid
 from mcplab import (
     AlternatingCycle,
     ColorSpec,
@@ -24,12 +25,48 @@ from mcplab import (
     verify_matching,
 )
 from mcplab.errors import ValidationError
-from mcplab.recolor import ANCHOR_BUDGET, WalkFailure
+from mcplab.recolor import (
+    ANCHOR_BUDGET,
+    WalkFailure,
+    _anchor_draws,
+    _search_from_anchor,
+    _WalkState,
+)
 from mcplab.rng import stream_value
+
+
+# (1, 2) -> (2, 1) is the one 1 -> 2 cycle from the identity matching.
+NEG_EDGES = [(0, 0, 1), (1, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 1)]
 
 
 def identity_matching(n):
     return Matching(tuple(range(n)))
+
+
+@lru_cache(maxsize=None)
+def interior_matchings(n):
+    """A q = 3 graph at n and the two interior-profile matchings walked on it."""
+    g = sample_graph(
+        SampleParams(n, threshold_p(n, 4.0, 1.0 / 3), ColorSpec.uniform(3), 31 * n + 3)
+    )
+    targets = ((n // 2, n // 4, n - n // 2 - n // 4), (n // 10, n // 10, n - 2 * (n // 10)))
+    matchings = []
+    for target in targets:
+        out = achieve_profile(g, target, seed=n)
+        assert out.ok
+        matchings.append(out.matching)
+    return g, tuple(matchings)
+
+
+def test_anchor_draws_equal_sample():
+    # Sizes cover k <= 5, both sides of the pool/set switch (277/278 for
+    # k = 64) and populations far above it.
+    for size in [*range(300), 400, 1000, 5000]:
+        pop = [3 * x + 1 for x in range(size)]
+        k = min(size, ANCHOR_BUDGET)
+        for s in range(10):
+            want = random.Random(s).sample(pop, k)
+            assert list(_anchor_draws(random.Random(s), pop)) == want, (size, s)
 
 
 class TestFindCycle:
@@ -101,7 +138,7 @@ class TestApplyCycle:
     def test_negative_a_vertex_rejected(self):
         # (1, 2) -> (2, 1) is a valid cycle; naming A-vertex 2 as -1 must not
         # pass by wrapping onto the last row.
-        g = build_graph(3, 2, [(0, 0, 1), (1, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 1)])
+        g = build_graph(3, 2, NEG_EDGES)
         m = identity_matching(3)
         assert apply_cycle(g, m, AlternatingCycle((1, 2), (2, 1), 0, 1, 2)).assign == (0, 2, 1)
         with pytest.raises(InvalidCycleError):
@@ -120,6 +157,45 @@ class TestApplyCycle:
         m = identity_matching(3)
         with pytest.raises(InvalidCycleError, match="has color 1, expected 2"):
             apply_cycle(f3, m, bad)
+
+    @pytest.mark.parametrize(
+        "edges, assign, cycle, clause",
+        [
+            (F1_EDGES, (0, 1), ((), (), 0), "length: |a_seq|=0, |b_seq|=0"),
+            (F3_EDGES, (0, 1, 2), ((0, 1), (1, 0), 2), "special_index 2 out of range"),
+            (F3_EDGES, (0, 1, 2), ((0, 1), (2, 0), 0),
+             "non-matching edge (0, 2) absent from graph"),
+            (F3_EDGES, (0, 1, 2), ((0, 1), (0, 1), 0), "edge (0, 0) is a matching edge"),
+            (F3_EDGES, (0, 1, 2), ((1, 0), (1, 0), 1), "edge (1, 1) is a matching edge"),
+            (NEG_EDGES, (0, 1, 2), ((1,), (2,), 0), "(2, 1) is not a matching edge"),
+            ([(0, 0, 2), (1, 1, 1), (0, 1, 2), (1, 0, 1)], (0, 1), ((0, 1), (1, 0), 0),
+             "matching edge (0, 0) has color 2, expected 1"),
+            (F3_EDGES, (0, 1, 2), ((0, 3), (1, 0), 0),
+             "non-matching edge (3, 0) absent from graph"),
+            (NEG_EDGES, (0, 1, 2), ((1, -1), (2, 1), 0),
+             "non-matching edge (-1, 1) absent from graph"),
+        ],
+        ids=[
+            "length", "special_index", "absent_edge", "matching_as_non_matching",
+            "matching_as_non_matching_same_color", "not_a_matching_edge",
+            "matching_edge_wrong_color", "a_equals_n", "a_negative",
+        ],
+    )
+    def test_clause_rejected(self, edges, assign, cycle, clause):
+        # A 1 -> 2 cycle breaking exactly one clause names it, word for word.
+        g = build_graph(len(assign), 2, edges)
+        a_seq, b_seq, special = cycle
+        with pytest.raises(InvalidCycleError) as info:
+            apply_cycle(g, Matching(assign), AlternatingCycle(a_seq, b_seq, special, 1, 2))
+        assert info.value.clause == clause
+
+    @pytest.mark.parametrize("to_color", [0, 3])
+    def test_out_of_range_color_rejected(self, f3, to_color):
+        # Color 0 must not wrap onto color q's rows: (0, 1) has color 2 = q.
+        bad = AlternatingCycle((0, 1), (1, 0), 0, 1, to_color)
+        with pytest.raises(InvalidCycleError) as info:
+            apply_cycle(f3, identity_matching(3), bad)
+        assert info.value.clause == f"non-matching edge (0, 1) has color 2, expected {to_color}"
 
 
 class TestRecolorStep:
@@ -164,17 +240,11 @@ class TestRecolorStep:
     def test_mixed_start_digest(self, n, want):
         # Pins the public step API from matchings that are not monochromatic:
         # every ordered color pair, three seeds, from two interior profiles.
-        # n = 80 takes random.sample's pool path; n = 400 also its set path
+        # n = 80 takes the anchor draws' pool path; n = 400 also their set path
         # (320 anchors of color 3).
-        g = sample_graph(
-            SampleParams(n, threshold_p(n, 4.0, 1.0 / 3), ColorSpec.uniform(3), 31 * n + 3)
-        )
+        g, matchings = interior_matchings(n)
         h = hashlib.sha256()
-        targets = ((n // 2, n // 4, n - n // 2 - n // 4), (n // 10, n // 10, n - 2 * (n // 10)))
-        for target in targets:
-            out = achieve_profile(g, target, seed=n)
-            assert out.ok
-            m = out.matching
+        for m in matchings:
             for i in range(1, 4):
                 for j in range(1, 4):
                     if i == j:
@@ -184,6 +254,33 @@ class TestRecolorStep:
                         key = None if cyc is None else (cyc.a_seq, cyc.b_seq, cyc.special_index)
                         after = None if cyc is None else apply_cycle(g, m, cyc).assign
                         h.update(repr((key, after)).encode())
+        assert h.hexdigest() == want
+
+    @pytest.mark.parametrize(
+        "n, want",
+        [
+            (80, "541f05beca511e037c5eb13f283404814602cef44d5adeb516b907a28e999368"),
+            (400, "42c539af55f116caaa9ec092ef2a9883e1e69abe2cb09183d5d207fd000bbb71"),
+        ],
+    )
+    def test_search_from_every_anchor_digest(self, n, want):
+        # Pins the search itself, not only the first anchor a draw reaches:
+        # the cycle (or None) from every source anchor, every ordered color
+        # pair, from the same two interior matchings.
+        g, matchings = interior_matchings(n)
+        h = hashlib.sha256()
+        for m in matchings:
+            for i in range(1, 4):
+                state = _WalkState(g, m, i)
+                for j in range(1, 4):
+                    if i == j:
+                        continue
+                    for a0 in state.anchors:
+                        cyc = _search_from_anchor(
+                            g, state.assign, state.inverse, i, j, a0, state.colors
+                        )
+                        key = None if cyc is None else (cyc.a_seq, cyc.b_seq)
+                        h.update(repr((i, j, a0, key)).encode())
         assert h.hexdigest() == want
 
     def test_monte_carlo_above_threshold(self):

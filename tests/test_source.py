@@ -78,3 +78,32 @@ def test_bench_pairs_summary():
     assert single["change_wins"] == 1 and single["parent"]["iqr"] == 0.0
     with pytest.raises(ValueError):
         summarize([1.0], [1.0, 2.0], "higher")
+    # Fewer than ten pairs claim no gain; without a bound there is no other verdict.
+    assert higher["verdict"] == single["verdict"] == "no_bound"
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, verdict",
+    [
+        # 10/10 wins, median gap 2 > parent IQR 0
+        ([10.0] * 10, [12.0] * 10, "higher", "gain"),
+        # 5/5 wins are too few pairs
+        ([10.0] * 5, [12.0] * 5, "higher", "within_bound"),
+        # 9/10 wins is enough; 8/10 is not, and +10% is within the 0.24 bound
+        ([10.0] * 10, [11.0] * 9 + [9.0], "higher", "gain"),
+        ([10.0] * 10, [11.0] * 8 + [9.0] * 2, "higher", "within_bound"),
+        # every pair won, but the median gap 0.1 is inside the parent IQR 0.2
+        ([9.8, 9.9, 10.0, 10.1, 10.2] * 2, [9.9, 10.0, 10.1, 10.2, 10.3] * 2, "higher",
+         "within_bound"),
+        # 30% worse, parent IQR 2% of its median: narrower than the bound
+        ([9.8, 9.9, 10.0, 10.1, 10.2], [7.0] * 5, "higher", "regression"),
+        ([1.0] * 5, [1.3] * 5, "lower", "regression"),
+        # 30% worse, parent IQR 50% of its median: wider than the bound
+        ([5.0, 10.0, 10.0, 15.0, 20.0], [7.0] * 5, "higher", "unresolved"),
+        # 20% worse is within the 0.24 bound
+        ([1.0] * 5, [1.2] * 5, "lower", "within_bound"),
+    ],
+)
+def test_bench_pairs_verdict(parent, change, better, verdict):
+    summarize = _load_script("bench_pairs").summarize
+    assert summarize(parent, change, better, 0.24)["verdict"] == verdict
