@@ -222,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--workloads", nargs="*", default=[])
     ap.add_argument("--seeds", nargs="+", type=int, default=[0])
-    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--scaling", nargs="*", type=int, default=[], metavar="N")

@@ -62,7 +62,7 @@ def low_degree_witness(
     _check_exhaustive(g)
     g._check_color(color)
     n = g.n
-    if s_size > n or t_size > n or x_size > n or x_size < 0:
+    if s_size > n or t_size > n or x_size > n or min(s_size, t_size, x_size) < 0:
         return None
     adj = [set(g.neighbors_a(a, color)) for a in range(n)]
     s_all = tuple(range(n))

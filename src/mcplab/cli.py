@@ -18,12 +18,7 @@ from .audit import (
     isolated_color_vertices,
     low_degree_witness,
 )
-from .errors import (
-    LabError,
-    NoPerfectMatchingError,
-    OutOfUnitIntervalError,
-    ValidationError,
-)
+from .errors import LabError, NoPerfectMatchingError, ValidationError
 from .experiment import (
     _CONFIG_KEYS,
     CheckFlags,
@@ -265,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, OutOfUnitIntervalError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -148,9 +148,6 @@ def profile_suite(config: ExperimentConfig, trial_seed: int) -> tuple[tuple[int,
     elif config.suite_kind == "random":
         rng = random.Random(derive_seed(trial_seed, _SUITE_SALT))
         for _ in range(config.suite_count):
-            if q == 1:
-                suite.append((n,))
-                continue
             bars = sorted(rng.sample(range(1, n + q), q - 1))
             prev = 0
             parts = []

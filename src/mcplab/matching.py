@@ -3,6 +3,9 @@
 Hopcroft-Karp with deterministic tie-breaking: A-vertices are scanned in
 increasing index, adjacency lists are sorted, and augmenting paths are taken
 in BFS-layer order, so results depend only on the graph and the color set.
+When a color class has no perfect matching, the A-vertices that
+Hopcroft-Karp's last BFS reached are the Hall witness (Kőnig's certificate)
+that ``monochromatic_perfect_matching`` reports; no second search runs.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ def _merged_adjacency(
     return adj
 
 
-def _hopcroft_karp(n: int, adj: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+def _hopcroft_karp(n: int, adj: Sequence[tuple[int, ...]]) -> tuple[list[int], list[float]]:
+    """(match_a, dist): a maximum matching and its last BFS's layers.
+
+    That BFS found no free B-vertex, so ``dist[a]`` is finite exactly for the
+    A-vertices that alternating paths reach from the free ones.
+    """
     match_a = [UNMATCHED] * n
     match_b = [UNMATCHED] * n
     dist = [0.0] * n
@@ -105,7 +113,7 @@ def _hopcroft_karp(n: int, adj: Sequence[tuple[int, ...]]) -> tuple[list[int], l
         for a in range(n):
             if match_a[a] == UNMATCHED:
                 dfs(a)
-    return match_a, match_b
+    return match_a, dist
 
 
 def max_matching(
@@ -122,33 +130,6 @@ def max_matching(
     return Matching(tuple(match_a))
 
 
-def hall_witness(
-    g: ColoredBipartiteGraph, color: int, m: Matching
-) -> tuple[int, ...]:
-    """Deficient A-set extracted from a non-perfect maximum matching.
-
-    Returns the A-vertices reachable by alternating paths from the unmatched
-    A-vertices; for a maximum matching this set S satisfies |N(S)| < |S|.
-    """
-    g._check_color(color)
-    adj = g._adj_a[color - 1]
-    match_b = m.inverse
-    seen = [False] * g.n
-    queue: deque[int] = deque()
-    for a in range(g.n):
-        if m.assign[a] == UNMATCHED:
-            seen[a] = True
-            queue.append(a)
-    while queue:
-        a = queue.popleft()
-        for b in adj[a]:
-            a2 = match_b[b]
-            if a2 != UNMATCHED and not seen[a2]:
-                seen[a2] = True
-                queue.append(a2)
-    return tuple(a for a in range(g.n) if seen[a])
-
-
 def monochromatic_perfect_matching(
     g: ColoredBipartiteGraph, color: int
 ) -> Matching:
@@ -157,10 +138,11 @@ def monochromatic_perfect_matching(
     Raises NoPerfectMatchingError carrying a Hall-violating A-set when the
     color class has none.
     """
-    m = max_matching(g, (color,))
-    if m.size == g.n:
-        return m
-    witness = hall_witness(g, color, m)
+    g._check_color(color)
+    match_a, dist = _hopcroft_karp(g.n, g._adj_a[color - 1])
+    if UNMATCHED not in match_a:
+        return Matching(tuple(match_a))
+    witness = tuple(a for a in range(g.n) if dist[a] != _INF)
     nbhd = color_neighborhood(g, witness, color)
     if len(nbhd) >= len(witness):
         raise LabError("extracted witness is not deficient")

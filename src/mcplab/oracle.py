@@ -1,27 +1,23 @@
 """Exact perfect-matching color-profile sets for small instances.
 
-Ground truth for all solver testing.  Both oracles return a set of profile
-tuples (m_1, ..., m_q).  ``enumerate_mcp`` is a subset dynamic
-program (n <= DP_LIMIT = 20, q <= Q_LIMIT = 4) that keeps one Python int per
+Ground truth for all solver testing.  ``enumerate_mcp`` returns the set of
+profile tuples (m_1, ..., m_q).  It is a subset dynamic program
+(n <= DP_LIMIT = 20, q <= Q_LIMIT = 4) that keeps one Python int per
 mask of used B-vertices: bit sum_i m_i (n+1)^(i-1) of that int is set when
 the partial profile (m_1, ..., m_{q-1}) is achievable.  An edge of color
 c < q shifts the int by (n+1)^(c-1), color q shifts it by 0, and m_q is
 implied by the popcount.  Each entry is freed once it has been read.
-``enumerate_mcp_naive`` is a factorial brute force over all bijections
-(n <= NAIVE_LIMIT = 9); it and the set-of-tuples DP in ``tests/_refs.py``
-share no code with the bitset DP and are its independent checks.  The limits
-are fixed.
+A factorial brute force over all bijections and a set-of-tuples DP, both in
+``tests/_refs.py``, share no code with the bitset DP and are its independent
+checks.  The limits are fixed.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from .errors import InstanceTooLargeError
 from .graphs import ColoredBipartiteGraph
 
 DP_LIMIT = 20
-NAIVE_LIMIT = 9
 Q_LIMIT = 4
 
 
@@ -68,24 +64,4 @@ def enumerate_mcp(g: ColoredBipartiteGraph) -> set[tuple[int, ...]]:
                 index, m = divmod(index, n + 1)
                 prof.append(m)
             out.add((*prof, n - sum(prof)))
-    return out
-
-
-def enumerate_mcp_naive(g: ColoredBipartiteGraph) -> set[tuple[int, ...]]:
-    """Brute force over all n! bijections A -> B; the independent oracle."""
-    if g.n > NAIVE_LIMIT:
-        raise InstanceTooLargeError(f"n={g.n} exceeds naive limit {NAIVE_LIMIT}")
-    n, q = g.n, g.q
-    out: set[tuple[int, ...]] = set()
-    for perm in permutations(range(n)):
-        counts = [0] * q
-        ok = True
-        for a, b in enumerate(perm):
-            c = g.color_of(a, b)
-            if c is None:
-                ok = False
-                break
-            counts[c - 1] += 1
-        if ok:
-            out.add(tuple(counts))
     return out

@@ -22,9 +22,10 @@ matching once.  Its one ``step`` draws anchors one at a time until the first
 cycle, re-verifies that cycle and toggles it in place, so besides the search
 a step does O(cycle length + anchors drawn until the first cycle)
 Python-level work.  ``achieve_profile`` steps one state for the whole
-walk and builds one ``Matching`` at the end.  The public step functions,
-``find_recoloring_cycle`` and ``apply_cycle``, take and return immutable
-``Matching``s, so each call costs O(n) by design.
+walk and builds one ``Matching`` at the end.  A corner target takes no
+step, so its walk builds no state: it checks the start's profile once.  The
+public step functions, ``find_recoloring_cycle`` and ``apply_cycle``, take
+and return immutable ``Matching``s, so each call costs O(n) by design.
 """
 
 from __future__ import annotations
@@ -456,6 +457,10 @@ def achieve_profile(
             return WalkOutcome(
                 None, WalkFailure("no_monochromatic_start", i_star), report()
             )
+    if best == n:  # a corner target takes no step: checking the start is the walk
+        if len(start.assign) != n or profile_of(g, start) != target:
+            raise ValidationError(f"start matching is not monochromatic in color {i_star}")
+        return WalkOutcome(start, None, report())
     state = _WalkState(g, start, i_star)
     if len(state.anchors) != n:
         raise ValidationError(f"start matching is not monochromatic in color {i_star}")
@@ -475,8 +480,7 @@ def achieve_profile(
                     None, WalkFailure("step_exhausted", j, reached), report()
                 )
             cycle_lengths.append(len(cyc))
-    m = state.matching() if best < n else start  # a corner target takes no step
-
+    m = state.matching()
     final = profile_of(g, m)
     if final != target:
         raise LabError(f"walk bookkeeping drifted: {final} != {target}")

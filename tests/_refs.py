@@ -5,7 +5,11 @@ separate from the package so the paths under test are checked against code
 that shares nothing with them.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
+
+from mcplab.errors import InstanceTooLargeError
+
+NAIVE_LIMIT = 9
 
 
 def brute_max_matching_size(g, colors) -> int:
@@ -76,6 +80,45 @@ def mcp_set_dp(g) -> set:
     return {prof + (n - sum(prof),) for prof in final}
 
 
+def enumerate_mcp_naive(g) -> set:
+    """MCP(g) by brute force over all n! bijections A -> B."""
+    if g.n > NAIVE_LIMIT:
+        raise InstanceTooLargeError(f"n={g.n} exceeds naive limit {NAIVE_LIMIT}")
+    n, q = g.n, g.q
+    out = set()
+    for perm in permutations(range(n)):
+        counts = [0] * q
+        for a, b in enumerate(perm):
+            c = g.color_of(a, b)
+            if c is None:
+                break
+            counts[c - 1] += 1
+        else:
+            out.add(tuple(counts))
+    return out
+
+
+def alternating_reach(g, color, assign) -> tuple:
+    """A-vertices reached from the unmatched ones by alternating color paths.
+
+    A path leaves an A-vertex by any color edge and returns along the
+    matching edge of the B-vertex it reached.  For a maximum matching of the
+    color class this set S has |N(S)| < |S| whenever the matching is not
+    perfect (Kőnig).
+    """
+    partner = {b: a for a, b in enumerate(assign) if b >= 0}
+    reached = {a for a, b in enumerate(assign) if b < 0}
+    stack = list(reached)
+    while stack:
+        a = stack.pop()
+        for b in g.neighbors_a(a, color):
+            a2 = partner.get(b)
+            if a2 is not None and a2 not in reached:
+                reached.add(a2)
+                stack.append(a2)
+    return tuple(sorted(reached))
+
+
 def hall_holds(g, color) -> bool:
     """Hall's condition for the color subgraph, checked over all A-subsets."""
     neighborhoods = [set(g.neighbors_a(a, color)) for a in range(g.n)]
@@ -101,7 +144,7 @@ def cut_edges(g, s, t, color) -> int:
 
 def naive_low_degree(g, color, s_size, t_size, x_size, deg_cut):
     n = g.n
-    if s_size > n or t_size > n or x_size > n or x_size < 0:
+    if s_size > n or t_size > n or x_size > n or min(s_size, t_size, x_size) < 0:
         return None
     for t in combinations(range(n), t_size):
         for x in combinations(range(n), x_size):

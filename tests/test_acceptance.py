@@ -11,6 +11,7 @@ import time
 
 from _refs import (
     cut_edges,
+    enumerate_mcp_naive,
     naive_dense_cut,
     naive_empty_cut,
     naive_high_degree,
@@ -29,7 +30,6 @@ from mcplab import (
     empty_cut_witness,
     emit,
     enumerate_mcp,
-    enumerate_mcp_naive,
     expansion_trace,
     find_recoloring_cycle,
     high_degree_witness,

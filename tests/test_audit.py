@@ -57,6 +57,12 @@ class TestLowDegree:
     def test_oversized_request_vacuous(self, f1):
         assert low_degree_witness(f1, 1, 1, 3, 1, 1) is None
 
+    @pytest.mark.parametrize("sizes", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)], ids=["s", "t", "x"])
+    def test_negative_size_none(self, f1, sizes):
+        s_size, t_size, x_size = sizes
+        assert low_degree_witness(f1, 1, s_size, t_size, x_size, 1) is None
+        assert naive_low_degree(f1, 1, s_size, t_size, x_size, 1) is None
+
     def test_too_large_instance(self):
         g = build_graph(15, 1, [])
         with pytest.raises(InstanceTooLargeError):

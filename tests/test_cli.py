@@ -51,7 +51,18 @@ class TestMatch:
         path.write_text("2 2\n0 0 1\n0 1 2\n1 0 2\n")
         rc = main(["match", str(path), "--color", "1"])
         err = capsys.readouterr().err
-        assert rc == 1 and "deficient" in err
+        assert rc == 1 and "deficient A-set: [1]\n" in err
+
+    def test_deficient_set_printed(self, tmp_path, capsys):
+        # A sparse n = 8 graph whose color-1 witness has six A-vertices.
+        path = tmp_path / "g.txt"
+        assert main([
+            "gen", "--n", "8", "--alpha", "0.5,0.5", "--p", "0.3",
+            "--seed", "1", "--out", str(path),
+        ]) == 0
+        rc = main(["match", str(path), "--color", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.endswith("deficient A-set: [0, 2, 3, 4, 5, 6]\n")
 
     def test_any_color_matching(self, graph_file, capsys):
         rc = main(["match", str(graph_file)])
@@ -116,6 +127,12 @@ class TestAudit:
         assert rc == 0
         assert out["empty_cut"] == {"s": [0], "t": [1]}
         assert out["dense_cut"] == {"s": [0, 1], "t": [0, 1]}
+
+    def test_negative_size_finds_nothing(self, graph_file, capsys):
+        # A negative size gets None, as in the sibling searches, not a traceback.
+        rc = main(["audit", str(graph_file), "--color", "1", "--low-degree", "2", "-1", "1", "3"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == {"low_degree": None}
 
     def test_no_selection_usage_error(self, tmp_path):
         path = tmp_path / "g.txt"

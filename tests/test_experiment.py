@@ -177,6 +177,12 @@ class TestSuite:
         assert profile_suite(cfg, 3) == profile_suite(cfg, 3)
         assert profile_suite(cfg, 3) != profile_suite(cfg, 4)
 
+    @pytest.mark.parametrize("n", [2, 5, 30, 1000])
+    def test_one_color_random_suite_is_the_corner(self, n):
+        # With q - 1 = 0 bars, stars-and-bars yields (n,) and draws nothing.
+        cfg = small_config(n=n, colors=ColorSpec.uniform(1), suite_kind="random", suite_count=3)
+        assert profile_suite(cfg, trial_seed=7) == ((n,),)
+
     def test_rarest_color(self):
         assert rarest_color(ColorSpec(3, (0.5, 0.25, 0.25))) == 2
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from _refs import brute_max_matching_size, hall_holds
+from _refs import alternating_reach, brute_max_matching_size, hall_holds
 from conftest import instance_grid, random_instance
 from mcplab import (
     ColorSpec,
@@ -102,6 +102,29 @@ class TestMonochromaticPerfectMatching:
                     s = exc.witness
                     assert len(color_neighborhood(g, s, color)) < len(s)
                 assert got == expect
+
+    def test_witness_is_alternating_reach(self):
+        # The witness is the set that Hopcroft-Karp's last BFS reached; an
+        # independent alternating search from the free A-vertices of the same
+        # maximum matching must reach exactly it, below, in and above the
+        # window, up to n = 1000.
+        failing: dict[int, int] = {}
+        for n, seeds in ((5, 12), (8, 12), (12, 12), (30, 8), (200, 4), (1000, 2)):
+            llog = math.log(math.log(n))
+            for q in (2, 3):
+                cs = ColorSpec.uniform(q)
+                for k in range(-2, 3):
+                    p = min(1.0, (math.log(n) + k * llog) / (cs.alpha_min * n))
+                    for seed in range(seeds):
+                        g = sample_graph(SampleParams(n, p, cs, seed))
+                        for color in range(1, q + 1):
+                            try:
+                                monochromatic_perfect_matching(g, color)
+                            except NoPerfectMatchingError as exc:
+                                assign = max_matching(g, (color,)).assign
+                                assert exc.witness == alternating_reach(g, color, assign)
+                                failing[n] = failing.get(n, 0) + 1
+        assert sum(failing.values()) >= 500 and failing[1000] >= 20, failing
 
 
 class TestVerifyMatching:

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _refs import mcp_set_dp
+from _refs import enumerate_mcp_naive, mcp_set_dp
 from conftest import instance_grid, random_instance
 from mcplab import (
     InstanceTooLargeError,
     NoPerfectMatchingError,
     build_graph,
     enumerate_mcp,
-    enumerate_mcp_naive,
     max_matching,
     monochromatic_perfect_matching,
 )

@@ -13,6 +13,7 @@ from mcplab import (
     NoPerfectMatchingError,
     NoSourceEdgesError,
     SampleParams,
+    UNMATCHED,
     achieve_profile,
     apply_cycle,
     build_graph,
@@ -355,6 +356,17 @@ class TestAchieveProfile:
         ):
             with pytest.raises(ValidationError):
                 achieve_profile(f1, (2, 0), seed=1, start=wrong)
+        # A corner start is checked by its profile alone: it must match n
+        # pairs of the graph, all in color 1, on exactly n A-vertices.
+        for imperfect in (
+            Matching.from_pairs(2, [(0, 0)]),
+            Matching((0, 1, UNMATCHED)),
+        ):
+            with pytest.raises(ValidationError, match="not monochromatic in color 1"):
+                achieve_profile(f1, (2, 0), seed=1, start=imperfect)
+        g = build_graph(2, 2, [(0, 0, 1), (1, 1, 1), (0, 1, 2)])  # (1, 0) is no edge
+        with pytest.raises(ValidationError, match=r"\(1, 0\) is not an edge"):
+            achieve_profile(g, (2, 0), seed=1, start=Matching.from_pairs(2, [(0, 1), (1, 0)]))
 
     def test_start_error_reports_no_start(self):
         g = build_graph(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2)])
