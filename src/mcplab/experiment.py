@@ -160,9 +160,21 @@ def profile_suite(config: ExperimentConfig, trial_seed: int) -> tuple[tuple[int,
 
 
 def _monochromatic_start(
-    g: ColoredBipartiteGraph, color: int
+    g: ColoredBipartiteGraph,
+    color: int,
+    isolated: tuple[tuple[int, ...], tuple[int, ...]],
 ) -> Matching | NoPerfectMatchingError:
-    """The color's perfect matching, or the error carrying its Hall witness."""
+    """The color's perfect matching, or the error carrying a Hall witness.
+
+    ``isolated`` holds the color's isolated (A-side, B-side) vertices.  Either
+    side decides the color without Hopcroft-Karp: isolated A-vertices have
+    no neighbours, and an isolated B-vertex leaves |N(A)| <= n - 1.
+    """
+    a_side, b_side = isolated
+    if a_side:
+        return NoPerfectMatchingError(color, a_side)
+    if b_side:
+        return NoPerfectMatchingError(color, tuple(range(g.n)))
     try:
         return monochromatic_perfect_matching(g, color)
     except NoPerfectMatchingError as exc:
@@ -180,11 +192,15 @@ def run_trial(
     g = sample_graph(SampleParams(config.n, p, config.colors, seed))
     q = config.colors.q
 
-    # Both checks need every color's result (the walk suite holds all q
-    # corners), so each color's Hopcroft-Karp runs exactly once per trial.
+    # Every check but mcp_exact reads every color (the walk suite holds all q
+    # corners), so each color's isolated vertices are found once per trial,
+    # and its Hopcroft-Karp runs at most once, only when none is isolated.
+    sides = []
+    if config.checks.per_color_pm or config.checks.walk or config.checks.isolated:
+        sides = [isolated_color_vertices(g, i) for i in range(1, q + 1)]
     starts: list[Matching | NoPerfectMatchingError] = []
     if config.checks.per_color_pm or config.checks.walk:
-        starts = [_monochromatic_start(g, i) for i in range(1, q + 1)]
+        starts = [_monochromatic_start(g, i, iso) for i, iso in enumerate(sides, 1)]
 
     pm_success = None
     if config.checks.per_color_pm:
@@ -192,12 +208,7 @@ def run_trial(
 
     isolated = None
     if config.checks.isolated:
-        isolated = tuple(
-            (len(a_side), len(b_side))
-            for a_side, b_side in (
-                isolated_color_vertices(g, i) for i in range(1, q + 1)
-            )
-        )
+        isolated = tuple((len(a_side), len(b_side)) for a_side, b_side in sides)
 
     walks = None
     if config.checks.walk:

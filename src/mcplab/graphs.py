@@ -98,7 +98,8 @@ class ColoredBipartiteGraph:
     ``edges`` is any (E, 3) collection of integer (a, b, color) rows: an
     iterable of triples or an ndarray.  Range and duplicate checks run in
     numpy and raise for the first failing edge in input order.  The rows
-    ``_adj_a[c - 1][a]`` and ``_adj_b[c - 1][b]`` are the only edge store.
+    ``_adj_a[c - 1][a]`` and ``_adj_b[c - 1][b]`` are the only edge store;
+    each color's B-side rows come from one sort of the unique keys b*n + a.
     """
 
     __slots__ = ("n", "q", "edge_count", "_adj_a", "_adj_b", "alphas", "__weakref__")
@@ -145,8 +146,8 @@ class ColoredBipartiteGraph:
             mask = c == color
             ca, cb = a[mask], b[mask]
             adj_a.append(_split_rows(n, ca, cb))
-            by_b = np.argsort(cb, kind="stable")
-            adj_b.append(_split_rows(n, cb[by_b], ca[by_b]))
+            by_b = np.sort(cb * n + ca)
+            adj_b.append(_split_rows(n, by_b // n, by_b % n))
         self._adj_a = tuple(adj_a)
         self._adj_b = tuple(adj_b)
 
@@ -279,6 +280,8 @@ def build_graph(
 
 def profile_of(g: ColoredBipartiteGraph, m: Matching) -> tuple[int, ...]:
     """Per-color counts of the matched pairs of ``m`` in ``g``."""
+    if len(m.assign) != g.n:
+        raise InvalidMatchingError(f"matching has length {len(m.assign)}, graph has n={g.n}")
     counts = [0] * g.q
     for a, b in m.pairs():
         c = g.color_of(a, b)

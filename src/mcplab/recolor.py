@@ -458,8 +458,13 @@ def achieve_profile(
                 None, WalkFailure("no_monochromatic_start", i_star), report()
             )
     if best == n:  # a corner target takes no step: checking the start is the walk
-        if len(start.assign) != n or profile_of(g, start) != target:
-            raise ValidationError(f"start matching is not monochromatic in color {i_star}")
+        wrong = f"start matching is not monochromatic in color {i_star}"
+        try:
+            monochromatic = profile_of(g, start) == target
+        except ValidationError as exc:  # a non-edge pair, or not n A-vertices
+            raise ValidationError(f"{wrong}: {exc}") from None
+        if not monochromatic:
+            raise ValidationError(wrong)
         return WalkOutcome(start, None, report())
     state = _WalkState(g, start, i_star)
     if len(state.anchors) != n:

@@ -17,10 +17,11 @@ inverse-CDF index of value/2**64 over the alphas in index order.
 
 The inclusion scan runs in chunks of 2**16 slots, so each uint64
 temporary (512 KB) stays in cache; larger chunks spill and scan slower.
-The chunk size changes only how the counter-based draws are batched, never
-their values, so the sampled edges do not depend on it.  The kept edges
-reach ``ColoredBipartiteGraph`` as one (E, 3) int64 array in row-major
-order.
+The kept edges' colors are then drawn in one batch per graph.  Batching
+changes only how the counter-based draws are grouped, never their values,
+so the sampled edges depend on neither the chunk size nor the batches.
+The kept edges reach ``ColoredBipartiteGraph`` as one (E, 3) int64 array
+in row-major order.
 """
 
 from __future__ import annotations
@@ -73,26 +74,19 @@ def sample_graph(params: SampleParams) -> ColoredBipartiteGraph:
     if p <= 0.0:
         return ColoredBipartiteGraph(n, q, [], params.colors.alphas)
 
-    include_all = p >= 1.0
-    threshold = np.uint64(0) if include_all else np.uint64(int(p * 2.0**64))
     cum = np.cumsum(np.asarray(params.colors.alphas, dtype=np.float64))
-
-    edge_ids: list[np.ndarray] = []
-    colors: list[np.ndarray] = []
     total = n * n
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        if include_all:
-            kept = np.arange(start, stop, dtype=np.int64)
-        else:
-            vals = stream_values_strided2(seed, start, stop - start)
-            kept = np.flatnonzero(vals < threshold) + start
-        cvals = stream_values_np(seed, kept * 2 + 1)
-        u = cvals.astype(np.float64) * 2.0**-64
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), q - 1)
-        edge_ids.append(kept)
-        colors.append(idx + 1)
-
-    ids = np.concatenate(edge_ids)
-    edges = np.column_stack((ids // n, ids % n, np.concatenate(colors)))
+    if p >= 1.0:
+        ids = np.arange(total, dtype=np.int64)
+    else:
+        threshold = np.uint64(int(p * 2.0**64))
+        ids = np.concatenate([
+            np.flatnonzero(
+                stream_values_strided2(seed, start, min(_CHUNK, total - start)) < threshold
+            ) + start
+            for start in range(0, total, _CHUNK)
+        ])
+    u = stream_values_np(seed, ids * 2 + 1).astype(np.float64) * 2.0**-64
+    colors = np.minimum(np.searchsorted(cum, u, side="right"), q - 1) + 1
+    edges = np.column_stack((ids // n, ids % n, colors))
     return ColoredBipartiteGraph(n, q, edges, params.colors.alphas)

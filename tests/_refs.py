@@ -119,6 +119,14 @@ def alternating_reach(g, color, assign) -> tuple:
     return tuple(sorted(reached))
 
 
+def b_rows(g) -> list:
+    """Per color, per B-vertex, the ascending A-neighbors, read from g.edges()."""
+    rows = [[[] for _ in range(g.n)] for _ in range(g.q)]
+    for a, b, c in g.edges():
+        rows[c - 1][b].append(a)
+    return [[tuple(sorted(row)) for row in color_rows] for color_rows in rows]
+
+
 def hall_holds(g, color) -> bool:
     """Hall's condition for the color subgraph, checked over all A-subsets."""
     neighborhoods = [set(g.neighbors_a(a, color)) for a in range(g.n)]

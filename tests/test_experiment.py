@@ -1,15 +1,32 @@
 import hashlib
 import io
 import math
+from collections import Counter
+from itertools import product
 
 import pytest
 
 import mcplab.experiment
 import mcplab.recolor
-from mcplab import CheckFlags, ColorSpec, ExperimentConfig, emit, run_trial, summarize, sweep
-from mcplab.errors import BadProfileSumError, ValidationError
+from mcplab import (
+    CheckFlags,
+    ColorSpec,
+    ExperimentConfig,
+    SampleParams,
+    achieve_profile,
+    build_graph,
+    color_neighborhood,
+    emit,
+    run_trial,
+    sample_graph,
+    summarize,
+    sweep,
+)
+from mcplab.audit import isolated_color_vertices
+from mcplab.errors import BadProfileSumError, NoPerfectMatchingError, ValidationError
 from mcplab.matching import monochromatic_perfect_matching
 from mcplab.experiment import (
+    _monochromatic_start,
     CSV_HEADER,
     config_from_mapping,
     parse_checks,
@@ -214,8 +231,8 @@ class TestRunTrial:
         assert rec.mcp_walk_agreement is True  # soundness of successful walks
 
     def test_one_matching_per_color(self, monkeypatch):
-        # below threshold some color has no perfect matching; its walks
-        # must reuse the trial's result instead of rerunning Hopcroft-Karp
+        # A color with an isolated vertex is decided without Hopcroft-Karp;
+        # every other color runs it once, and the walks reuse that result.
         calls = []
 
         def counting(g, color):
@@ -224,10 +241,14 @@ class TestRunTrial:
 
         monkeypatch.setattr(mcplab.experiment, "monochromatic_perfect_matching", counting)
         monkeypatch.setattr(mcplab.recolor, "monochromatic_perfect_matching", counting)
-        cfg = small_config(omega_grid=(-3.0,), suite_kind="random", suite_count=3)
-        rec = run_trial(cfg, 0, 0)
-        assert False in rec.pm_success
-        assert sorted(calls) == [1, 2]
+        for omega, some_fail in ((-3.0, True), (4.0, False)):
+            calls.clear()
+            cfg = small_config(omega_grid=(omega,), suite_kind="random", suite_count=3)
+            rec = run_trial(cfg, 0, 0)
+            assert (False in rec.pm_success) is some_fail
+            assert len(calls) == len(set(calls))
+            for color, (a_count, b_count) in enumerate(rec.isolated_counts, 1):
+                assert calls.count(color) == (0 if a_count + b_count else 1)
 
     def test_clamped_p_runs_edgeless(self):
         cfg = small_config(omega_grid=(-50.0,))
@@ -236,6 +257,51 @@ class TestRunTrial:
         assert rec.pm_success == (False, False)
         assert all(not w.success for w in rec.walks)
         assert all(c == (cfg.n, cfg.n) for c in rec.isolated_counts)
+
+
+class TestIsolatedShortcut:
+    """An isolated vertex decides a color before Hopcroft-Karp would."""
+
+    def test_agrees_with_hopcroft_karp(self):
+        graphs = 0
+        shortcuts = Counter()
+        for n, q in product((8, 20, 40), (2, 3)):
+            cfg = small_config(
+                n=n, colors=ColorSpec.uniform(q), omega_grid=(-2.0, -1.0, 0.0, 1.0, 2.0),
+                trials=10, base_seed=n * q,
+            )
+            for rec in sweep(cfg):
+                g = sample_graph(SampleParams(n, rec.p, cfg.colors, rec.derived_seed))
+                for color in range(1, q + 1):
+                    try:
+                        monochromatic_perfect_matching(g, color)
+                        found = True
+                    except NoPerfectMatchingError:
+                        found = False
+                    assert rec.pm_success[color - 1] is found
+                    a_side, b_side = isolated_color_vertices(g, color)
+                    start = _monochromatic_start(g, color, (a_side, b_side))
+                    assert isinstance(start, NoPerfectMatchingError) is not found
+                    if not found:
+                        assert start.color == color
+                        assert len(color_neighborhood(g, start.witness, color)) < len(start.witness)
+                        shortcuts["a" if a_side else "b" if b_side else "none"] += 1
+                graphs += 1
+        assert graphs == 300
+        assert shortcuts["a"] and shortcuts["b"]
+
+    def test_only_b_side_isolated(self):
+        # Every A-vertex has a color-1 edge, but B-vertex 2 has none.
+        g = build_graph(3, 2, [(0, 0, 1), (1, 1, 1), (2, 0, 1), (0, 2, 2), (1, 2, 2), (2, 2, 2)])
+        assert isolated_color_vertices(g, 1) == ((), (2,))
+        start = _monochromatic_start(g, 1, isolated_color_vertices(g, 1))
+        assert isinstance(start, NoPerfectMatchingError)
+        assert start.witness == (0, 1, 2)
+        assert color_neighborhood(g, start.witness, 1) == (0, 1)
+        with pytest.raises(NoPerfectMatchingError):
+            monochromatic_perfect_matching(g, 1)
+        out = achieve_profile(g, (3, 0), seed=1, start=start)
+        assert out.failure.stage == "no_monochromatic_start"
 
 
 class TestSweepAndEmit:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _refs import b_rows
 from conftest import random_instance
 from mcplab import (
     ColorSpec,
@@ -113,6 +114,24 @@ class TestArrayEdges:
                 nbrs = g_tup.neighbors_b(v, c)
                 assert nbrs == tuple(sorted(nbrs)) == g_arr.neighbors_b(v, c)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_b_rows_match_reference(self, q):
+        # The walk reads B-side rows in stored order, so compare them as stored.
+        n = 30
+        rng = random.Random(q)
+        pairs = rng.sample([(a, b) for a in range(n) for b in range(n)], 400)
+        edges = [(a, b, rng.randint(1, q)) for a, b in pairs]
+        g_arr = build_graph(n, q, np.array(edges, dtype=np.int64))
+        rng.shuffle(edges)
+        g_tup = build_graph(n, q, edges)
+        for g in (g_arr, g_tup):
+            want = b_rows(g)
+            for c in range(1, q + 1):
+                for b in range(n):
+                    row = g.neighbors_b(b, c)
+                    assert all(x < y for x, y in zip(row, row[1:]))
+                    assert row == want[c - 1][b]
+
     @pytest.mark.parametrize(
         "edges, error",
         [
@@ -158,6 +177,11 @@ class TestProfileOf:
     def test_empty_matching(self, f1):
         m = Matching((UNMATCHED, UNMATCHED))
         assert profile_of(f1, m) == (0, 0)
+
+    def test_wrong_length_rejected(self, f1):
+        # Both pairs are color-1 edges of f1, but the matching has 3 A-vertices.
+        with pytest.raises(InvalidMatchingError, match="length 3, graph has n=2"):
+            profile_of(f1, Matching((0, 1, UNMATCHED)))
 
     def test_non_edge_rejected(self, f3):
         m = Matching.from_pairs(3, [(2, 0)])
