@@ -52,8 +52,8 @@ class InvalidCycleError(LabError):
         self.clause = clause
 
 
-class InstanceTooLargeError(LabError):
-    pass
+class InstanceTooLargeError(ValidationError):
+    """The instance exceeds an exact method's size limit."""
 
 
 class BadProfileSumError(ValidationError):

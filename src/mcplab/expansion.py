@@ -102,10 +102,6 @@ class LayerRun:
     stop_layer: int | None
     cumulative_size: int
 
-    @property
-    def reached_stop(self) -> bool:
-        return self.stop_layer is not None
-
 
 @dataclass(frozen=True)
 class ExpansionTrace:
@@ -132,13 +128,18 @@ def _core_filter(
     members: list[int],
     partner: dict[int, int],
     neighbors,
+    back_neighbors,
     consts: ExpansionConstants,
 ) -> CoreFilter:
     """Compute the well-behaved subset of one side.
 
     ``members`` are the side's matched vertices for the traced color,
     ``partner[v]`` the matched partner, ``neighbors(v)`` the same-color
-    adjacency (other side).
+    adjacency (other side) and ``back_neighbors(t)`` that of an other-side
+    vertex t.  The crowded set starts as the members in neither
+    ``high_degree`` nor ``bounded_overlap`` and grows to its closure: a
+    member joins once it has >= overlap_cap neighbours among the partners
+    of the crowded set.
     """
     member_set = set(members)
     partner_of_members = {partner[v] for v in members}
@@ -175,8 +176,7 @@ def _core_filter(
             continue
         crowded.add(v)
         rounds += 1
-        t = partner[v]
-        for u in neighbors(t):
+        for u in back_neighbors(partner[v]):
             if u in member_set and u not in crowded:
                 count[u] = count.get(u, 0) + 1
                 if count[u] >= consts.overlap_cap:
@@ -264,8 +264,8 @@ def expansion_trace(
     def nbrs_b(b: int):
         return g.neighbors_b(b, color)
 
-    a_filter = _core_filter(a_members, a_to_b, nbrs_a, constants)
-    b_filter = _core_filter(b_members, b_to_a, nbrs_b, constants)
+    a_filter = _core_filter(a_members, a_to_b, nbrs_a, nbrs_b, constants)
+    b_filter = _core_filter(b_members, b_to_a, nbrs_b, nbrs_a, constants)
 
     if anchor is None:
         if a_filter.core:

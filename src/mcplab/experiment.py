@@ -22,7 +22,6 @@ import math
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import product, repeat
 
@@ -81,8 +80,10 @@ class ExperimentConfig:
         if self.suite_kind == "explicit":
             if not self.suite_profiles:
                 raise ValidationError("explicit profile suite is empty")
-            for prof in self.suite_profiles:
-                _check_profile(self.n, self.colors.q, prof)
+            checked = tuple(
+                _check_profile(self.n, self.colors.q, prof) for prof in self.suite_profiles
+            )
+            object.__setattr__(self, "suite_profiles", checked)
         if self.checks.mcp_exact and (self.n > DP_LIMIT or self.colors.q > Q_LIMIT):
             raise ValidationError(
                 f"mcp_exact check requires n <= {DP_LIMIT} and q <= {Q_LIMIT}, "
@@ -144,7 +145,7 @@ def profile_suite(config: ExperimentConfig, trial_seed: int) -> tuple[tuple[int,
     n, q = config.n, config.colors.q
     suite: list[tuple[int, ...]] = [_corner(q, i, n) for i in range(1, q + 1)]
     if config.suite_kind == "explicit":
-        suite.extend(tuple(p) for p in config.suite_profiles)
+        suite.extend(config.suite_profiles)
     elif config.suite_kind == "random":
         rng = random.Random(derive_seed(trial_seed, _SUITE_SALT))
         for _ in range(config.suite_count):
@@ -273,6 +274,9 @@ def sweep(config: ExperimentConfig) -> list[TrialRecord]:
     # time, so perfbench's tracer can rebind it.
     if config.workers == 1:
         return list(map(run_trial, repeat(config), grid_indices, trial_indices))
+    # imported here, so that `import mcplab` does not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         return list(
             pool.map(run_trial, repeat(config), grid_indices, trial_indices, chunksize=1)
@@ -325,9 +329,9 @@ def summarize(records: list[TrialRecord], config: ExperimentConfig) -> list[dict
             steps = [row.steps for r in group for row in r.walks if row.success]
             entry["mean_steps"] = sum(steps) / len(steps) if steps else 0.0
         if all(r.isolated_counts is not None for r in group):
-            entry["isolated_rarest_frac"] = sum(
-                1 for r in group if sum(r.isolated_counts[rare - 1]) > 0
-            ) / len(group)
+            rare_counts = [sum(r.isolated_counts[rare - 1]) for r in group]
+            entry["isolated_rarest_frac"] = sum(1 for c in rare_counts if c > 0) / len(group)
+            entry["isolated_rarest_mean"] = sum(rare_counts) / len(group)
         out.append(entry)
     return out
 

@@ -14,6 +14,7 @@ place, ``_check_profile``, through ``validate_profile_for`` or the config.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -398,7 +399,10 @@ def validate_profile_for(g: ColoredBipartiteGraph, profile: Sequence[int]) -> tu
 
 def _check_profile(n: int, q: int, profile: Sequence[int]) -> tuple[int, ...]:
     """The profile checks for an n-vertex, q-color setting, with or without a graph."""
-    p = tuple(int(c) for c in profile)
+    try:
+        p = tuple(operator.index(c) for c in profile)
+    except TypeError:
+        raise ValidationError(f"profile counts must be integers, got {tuple(profile)}") from None
     if any(c < 0 for c in p):
         raise ValidationError(f"negative profile count in {p}")
     if len(p) != q:

@@ -21,11 +21,12 @@ the source-color anchors in increasing order); its constructor checks the
 matching once.  Its one ``step`` draws anchors one at a time until the first
 cycle, re-verifies that cycle and toggles it in place, so besides the search
 a step does O(cycle length + anchors drawn until the first cycle)
-Python-level work.  ``achieve_profile`` steps one state for the whole
-walk and builds one ``Matching`` at the end.  A corner target takes no
-step, so its walk builds no state: it checks the start's profile once.  The
-public step functions, ``find_recoloring_cycle`` and ``apply_cycle``, take
-and return immutable ``Matching``s, so each call costs O(n) by design.
+Python-level work.  ``achieve_profile`` builds one state for the whole
+walk, and that build is also the one check of its start; a corner target
+takes no step and returns the start, any other target steps the state and
+builds one ``Matching`` at the end.  The public step functions,
+``find_recoloring_cycle`` and ``apply_cycle``, take and return immutable
+``Matching``s, so each call costs O(n) by design.
 """
 
 from __future__ import annotations
@@ -457,18 +458,16 @@ def achieve_profile(
             return WalkOutcome(
                 None, WalkFailure("no_monochromatic_start", i_star), report()
             )
-    if best == n:  # a corner target takes no step: checking the start is the walk
-        wrong = f"start matching is not monochromatic in color {i_star}"
-        try:
-            monochromatic = profile_of(g, start) == target
-        except ValidationError as exc:  # a non-edge pair, or not n A-vertices
-            raise ValidationError(f"{wrong}: {exc}") from None
-        if not monochromatic:
-            raise ValidationError(wrong)
+    try:
+        state = _WalkState(g, start, i_star)
+        if len(state.anchors) != n:
+            raise ValidationError(f"{n - len(state.anchors)} of {n} pairs have another color")
+    except ValidationError as exc:
+        raise ValidationError(
+            f"start matching is not monochromatic in color {i_star}: {exc}"
+        ) from None
+    if best == n:  # a corner target takes no step
         return WalkOutcome(start, None, report())
-    state = _WalkState(g, start, i_star)
-    if len(state.anchors) != n:
-        raise ValidationError(f"start matching is not monochromatic in color {i_star}")
 
     for j in range(1, q + 1):
         if j == i_star:

@@ -192,3 +192,33 @@ def naive_empty_cut(g, color, s_size, t_size):
             if cut_edges(g, s, t, color) == 0:
                 return s, t
     return None
+
+
+def naive_crowded(g, assign, color, side, overlap_cap, degree_cutoff) -> tuple:
+    """The crowded set of one side's color-``color`` matched vertices, by its definition.
+
+    Members are the side's vertices matched in ``color``; a member is high
+    degree with >= degree_cutoff color neighbours among the members'
+    partners, and bounded with <= overlap_cap among the partners of the
+    members that are not high degree.  The crowded set starts as the
+    members that are neither, and a member joins while it has
+    >= overlap_cap color neighbours among the crowded set's partners.
+    """
+    pairs = [(a, b) for a, b in enumerate(assign) if g.color_of(a, b) == color]
+    if side == "a":
+        partner = dict(pairs)
+        nbrs = {a: set(g.neighbors_a(a, color)) for a in partner}
+    else:
+        partner = {b: a for a, b in pairs}
+        nbrs = {b: set(g.neighbors_b(b, color)) for b in partner}
+    images = set(partner.values())
+    high = {v for v in partner if len(nbrs[v] & images) >= degree_cutoff}
+    removed = {partner[v] for v in partner if v not in high}
+    bounded = {v for v in partner if len(nbrs[v] & removed) <= overlap_cap}
+    crowded = set(partner) - high - bounded
+    while True:
+        image = {partner[v] for v in crowded}
+        joining = {v for v in partner if v not in crowded and len(nbrs[v] & image) >= overlap_cap}
+        if not joining:
+            return tuple(sorted(crowded))
+        crowded |= joining

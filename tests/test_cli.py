@@ -97,6 +97,14 @@ class TestWalk:
         assert len(pairs) == 8
 
 
+@pytest.fixture
+def oversized_file(tmp_path):
+    """A 21-vertex graph: past the exact oracle's and the witness searches' limits."""
+    path = tmp_path / "big.txt"
+    path.write_text("21 1\n0 0 1\n")
+    return path
+
+
 class TestMcp:
     def test_lexicographic_lines(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
@@ -105,6 +113,11 @@ class TestMcp:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.splitlines() == ["0,2", "2,0"]
+
+    def test_oversized_is_usage_error(self, oversized_file, capsys):
+        rc = main(["mcp", str(oversized_file)])
+        assert rc == 2
+        assert "n=21 exceeds limit 20" in capsys.readouterr().err
 
 
 class TestAudit:
@@ -127,6 +140,36 @@ class TestAudit:
         assert rc == 0
         assert out["empty_cut"] == {"s": [0], "t": [1]}
         assert out["dense_cut"] == {"s": [0, 1], "t": [0, 1]}
+
+    def test_high_degree_json(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("2 2\n0 0 1\n1 1 1\n0 1 2\n1 0 2\n")
+        assert main(["audit", str(path), "--color", "1", "--high-degree", "2", "2", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "high_degree": {"x": [0, 1], "y": [0, 1]}
+        }
+        # one B-vertex holds one color-1 edge from each A-vertex, never two
+        assert main(["audit", str(path), "--color", "1", "--high-degree", "2", "1", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"high_degree": None}
+
+    def test_greedy_empty_cut_json(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("2 2\n0 0 1\n1 1 1\n0 1 2\n1 0 2\n")
+        rc = main(["audit", str(path), "--color", "1", "--empty-cut", "1", "1", "--greedy"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "empty_cut": {"s": [1], "t": [0]},
+            "empty_cut_mode": "greedy-incomplete",
+        }
+
+    def test_oversized_exhaustive_is_usage_error(self, oversized_file, capsys):
+        assert main(["audit", str(oversized_file), "--empty-cut", "2", "2"]) == 2
+        assert "exceeds exhaustive search limit 14" in capsys.readouterr().err
+        # the greedy peel has no size limit
+        assert main(["audit", str(oversized_file), "--empty-cut", "2", "2", "--greedy"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["empty_cut_mode"] == "greedy-incomplete"
+        assert out["empty_cut"] == {"s": list(range(1, 21)), "t": list(range(21))}
 
     def test_negative_size_finds_nothing(self, graph_file, capsys):
         # A negative size gets None, as in the sibling searches, not a traceback.
@@ -193,6 +236,20 @@ class TestSweep:
         assert rc == 0
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert all("check" in r for r in rows)
+
+    def test_explicit_suite(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = main([
+            "sweep", "--n", "16", "--alpha", "0.5,0.5", "--omega-grid", "4",
+            "--trials", "2", "--seed", "5", "--suite", "explicit:10,6;8,8",
+            "--checks", "walk", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = [line.split(",")[5:8] for line in out.read_text().splitlines()[1:]]
+        # Every trial walks both corners, then the explicit profiles in order,
+        # each reached in n - max steps.
+        want = [["16;0", "1", "0"], ["0;16", "1", "0"], ["10;6", "1", "6"], ["8;8", "1", "8"]]
+        assert rows == want * 2
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as info:

@@ -1,7 +1,9 @@
 import math
+from itertools import product
 
 import pytest
 
+from _refs import naive_crowded
 from conftest import random_instance
 from mcplab import (
     DomainError,
@@ -10,6 +12,7 @@ from mcplab import (
     build_graph,
     default_constants,
     expansion_trace,
+    max_matching,
     monochromatic_perfect_matching,
 )
 from mcplab.errors import ValidationError
@@ -127,3 +130,25 @@ class TestTrace:
         assert trace.core_fraction_bound == pytest.approx(
             1 - (consts.removal_coeff + 2) / math.log(300)
         )
+
+
+def test_crowded_set_is_its_closure():
+    # The crowded set grows through the other side's adjacency: a joining
+    # member's partner is an other-side vertex, whose neighbours are members.
+    cases = grown = 0
+    grid = product((20, 30, 40), (1, 2, 3), (2, 4, 6), range(4))
+    for n, overlap_cap, degree_cutoff, seed in grid:
+        g = random_instance(seed * 1000 + n, n, 2, 0.35)
+        m = max_matching(g, (1, 2))
+        if not m.is_perfect:
+            continue
+        consts = small_constants(overlap_cap=overlap_cap, degree_cutoff=degree_cutoff)
+        trace = expansion_trace(g, m, 1, consts)
+        for side, filt in (("a", trace.a_side), ("b", trace.b_side)):
+            want = naive_crowded(g, m.assign, 1, side, overlap_cap, degree_cutoff)
+            assert filt.crowded == want, (n, overlap_cap, degree_cutoff, seed, side)
+            start = set(filt.members) - set(filt.high_degree) - set(filt.bounded_overlap)
+            assert filt.rounds == len(want) - len(start)
+            cases += 1
+            grown += filt.rounds > 0
+    assert cases >= 200 and grown >= 20

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 import mcplab.experiment
@@ -25,6 +26,7 @@ from mcplab import (
 from mcplab.audit import isolated_color_vertices
 from mcplab.errors import BadProfileSumError, NoPerfectMatchingError, ValidationError
 from mcplab.matching import monochromatic_perfect_matching
+from mcplab.oracle import enumerate_mcp
 from mcplab.experiment import (
     _monochromatic_start,
     CSV_HEADER,
@@ -70,13 +72,21 @@ class TestConfigValidation:
             ((1, 2), BadProfileSumError, "sums to 3"),
             ((-1, 41), ValidationError, "negative"),
             ((10, 10, 20), BadProfileSumError, "3 entries"),
+            ((20.5, 19.5), ValidationError, "must be integers"),
         ],
-        ids=["wrong_sum", "negative_count", "wrong_length"],
+        ids=["wrong_sum", "negative_count", "wrong_length", "fractional_count"],
     )
     def test_bad_explicit_profile_rejected(self, prof, error, message):
         # The config's profile check is validate_profile_for's, wording included.
         with pytest.raises(error, match=message):
             small_config(suite_kind="explicit", suite_profiles=(prof,))
+
+    def test_explicit_profiles_stored_checked(self):
+        cfg = small_config(
+            n=4, suite_kind="explicit", suite_profiles=([1, 3], (np.int64(2), np.int64(2)))
+        )
+        assert cfg.suite_profiles == ((1, 3), (2, 2))
+        assert all(type(c) is int for prof in cfg.suite_profiles for c in prof)
 
     def test_random_needs_count(self):
         with pytest.raises(ValidationError):
@@ -230,6 +240,18 @@ class TestRunTrial:
         assert rec.mcp_profiles is not None
         assert rec.mcp_walk_agreement is True  # soundness of successful walks
 
+    def test_mcp_exact_without_walk(self):
+        cfg = small_config(
+            n=6, omega_grid=(6.0,), checks=CheckFlags(walk=False, mcp_exact=True)
+        )
+        rec = run_trial(cfg, 0, 0)
+        assert rec.walks is None
+        g = sample_graph(SampleParams(cfg.n, rec.p, cfg.colors, rec.derived_seed))
+        assert rec.mcp_profiles == tuple(sorted(enumerate_mcp(g)))
+        assert rec.mcp_walk_agreement is True  # no walk to disagree with
+        (row,) = [r for r in record_rows(rec, cfg) if r["check"] == "mcp_exact"]
+        assert (row["success"], row["steps"]) == (1, len(rec.mcp_profiles))
+
     def test_one_matching_per_color(self, monkeypatch):
         # A color with an isolated vertex is decided without Hopcroft-Karp;
         # every other color runs it once, and the walks reuse that result.
@@ -381,6 +403,9 @@ class TestSweepAndEmit:
             pairs = [w for r in group for w in r.walks]
             assert row["walk_pair_frac"] == sum(w.success for w in pairs) / len(pairs)
             assert row["trials"] == len(group)
+            rare = [sum(r.isolated_counts[rarest_color(cfg.colors) - 1]) for r in group]
+            assert row["isolated_rarest_frac"] == sum(c > 0 for c in rare) / len(group)
+            assert row["isolated_rarest_mean"] == sum(rare) / len(group)
 
     def test_timings_zeroed_by_default(self):
         cfg = small_config(trials=1)

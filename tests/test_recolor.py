@@ -356,8 +356,8 @@ class TestAchieveProfile:
         ):
             with pytest.raises(ValidationError):
                 achieve_profile(f1, (2, 0), seed=1, start=wrong)
-        # A corner start is checked by its profile alone: it must match n
-        # pairs of the graph, all in color 1, on exactly n A-vertices.
+        # The walk state checks every start: it must match n pairs of the
+        # graph, all in color 1, on exactly n A-vertices.
         for imperfect in (
             Matching.from_pairs(2, [(0, 0)]),
             Matching((0, 1, UNMATCHED)),
@@ -367,6 +367,20 @@ class TestAchieveProfile:
         g = build_graph(2, 2, [(0, 0, 1), (1, 1, 1), (0, 1, 2)])  # (1, 0) is no edge
         with pytest.raises(ValidationError, match=r"\(1, 0\) is not an edge"):
             achieve_profile(g, (2, 0), seed=1, start=Matching.from_pairs(2, [(0, 1), (1, 0)]))
+
+    def test_stepping_start_not_monochromatic(self, f3):
+        # (2, 1) takes a step, so its start is checked before the first one.
+        mixed = Matching((1, 0, 2))  # (0, 1) has color 2
+        wrong = "start matching is not monochromatic in color 1: "
+        with pytest.raises(ValidationError, match=f"^{wrong}1 of 3 pairs have another color$"):
+            achieve_profile(f3, (2, 1), seed=1, start=mixed)
+        with pytest.raises(ValidationError, match=rf"^{wrong}matched pair \(0, 2\) is not an edge$"):
+            achieve_profile(f3, (2, 1), seed=1, start=Matching((2, 1, 0)))
+
+    def test_fractional_target_rejected(self, f1):
+        # int() would truncate (1.5, 1.0) to (1, 1), which sums to n = 2.
+        with pytest.raises(ValidationError, match="must be integers"):
+            achieve_profile(f1, (1.5, 1.0), seed=1)
 
     def test_start_error_reports_no_start(self):
         g = build_graph(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2)])

@@ -44,7 +44,6 @@ def test_public_surface_is_all():
     "script, args",
     [
         ("expansion_diagnostics.py", ["--n", "300", "--seeds", "2"]),
-        ("below_threshold_isolated.py", ["--n", "200", "--trials", "2"]),
     ],
 )
 def test_script_runs(script, args):
