@@ -5,8 +5,6 @@
         --seeds 0 --pairs 10 --seconds 20 --out BENCH.json
     python3 scripts/bench_pairs.py --parent REV --workloads threshold_grid \\
         --seeds 0 --pairs 1 --trace 1 --out BENCH.json
-    python3 scripts/bench_pairs.py --parent REV --scaling 1000 2000 4000 8000 \\
-        --out BENCH.json
 
 REV's committed files are exported (``git archive``) into a temporary
 directory.  Each pair runs ``perfbench/run.py`` once on each side, one after
@@ -23,12 +21,9 @@ Otherwise, for an end-to-end metric whose change median is worse than the
 parent's by more than its bound in BENCHMARK.json, it reads ``regression``
 when the parent's IQR is narrower than that bound and ``unresolved`` when it
 is wider; any other end-to-end metric reads ``within_bound``, and a metric
-with no bound reads ``no_bound``.
-``--scaling`` instead times the sampling, scan, graph build and
-Hopcroft-Karp layers per trial (perfbench's tracer) at each n, q = 2,
-omega = 0, as the median of three runs of four trials per side.  Results merge
-into ``--out``, replacing an entry with the same key, with the machine
-(nproc, Python and numpy versions) recorded.
+with no bound reads ``no_bound``.  Results merge into ``--out``, replacing
+an entry with the same key, with the machine (nproc, Python and numpy
+versions) recorded.
 """
 
 from __future__ import annotations
@@ -47,30 +42,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCALING_LAYERS = ("sampling.sample_s", "rng.scan_s", "graphs.build_s", "matching.hk_s")
-SCALING_TRIALS = 4
-SCALING_REPEATS = 3
-
-# Runs one traced corner sweep at q = 2, omega = 0 and prints each layer's
-# seconds per trial; argv: source dir, perfbench dir, n, trials.
-SCALING_CHILD = """\
-import json, sys
-sys.path[:0] = sys.argv[1:3]
-from tracing import Tracer
-from mcplab import CheckFlags, ColorSpec, ExperimentConfig, sweep
-n, trials = int(sys.argv[3]), int(sys.argv[4])
-config = ExperimentConfig(
-    n=n, colors=ColorSpec.uniform(2), omega_grid=(0.0,), trials=trials,
-    base_seed=424242, checks=CheckFlags(per_color_pm=True, walk=False, isolated=False),
-)
-tracer = Tracer()
-with tracer.active():
-    sweep(config)
-values = tracer.metrics(0, 0.0)
-out = {{name: values[name] / trials for name in {layers!r}}}
-out["sampling.edges"] = values["sampling.edges"] / trials
-print(json.dumps(out))
-"""
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -143,15 +114,6 @@ def run_bench(root: Path, workload: str, seed: int, seconds: int, trace: int) ->
     return result
 
 
-def run_scaling(root: Path, n: int, trials: int) -> dict:
-    code = SCALING_CHILD.format(layers=SCALING_LAYERS)
-    argv = [str(root / "src"), str(root / "perfbench"), str(n), str(trials)]
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv], cwd=root, capture_output=True, text=True, check=True
-    )
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
 def ordered(sides: dict[str, Path], index: int) -> list[tuple[str, Path]]:
     """The two sides, parent first on even pairs and change first on odd ones."""
     pair = list(sides.items())
@@ -185,27 +147,6 @@ def compare_runs(sides, workload, seed, seconds, trace, pairs, specs) -> dict:
     }
 
 
-def compare_scaling(sides, sizes) -> dict:
-    table = {}
-    for n in sizes:
-        per_side: dict[str, list[dict]] = {"parent": [], "change": []}
-        for i in range(SCALING_REPEATS):
-            for side, root in ordered(sides, i):
-                per_side[side].append(run_scaling(root, n, SCALING_TRIALS))
-        row = {}
-        for side, results in per_side.items():
-            row[side] = {
-                name: {"median": statistics.median(r[name] for r in results),
-                       "values": [r[name] for r in results]}
-                for name in results[0]
-            }
-        print(f"scaling n={n}: " + ", ".join(
-            f"{name} {row['parent'][name]['median']:.4f} -> {row['change'][name]['median']:.4f}"
-            for name in SCALING_LAYERS), file=sys.stderr, flush=True)
-        table[str(n)] = row
-    return table
-
-
 def machine() -> dict:
     import numpy
 
@@ -220,18 +161,15 @@ def machine() -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
-    ap.add_argument("--workloads", nargs="*", default=[])
+    ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, default=[0])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--scaling", nargs="*", type=int, default=[], metavar="N")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    if not args.workloads and not args.scaling:
-        ap.error("give --workloads, --scaling or both")
 
     rev = subprocess.run(
         ["git", "-C", str(ROOT), "rev-parse", "--verify", args.parent + "^{commit}"],
@@ -252,14 +190,6 @@ def main(argv: list[str] | None = None) -> int:
                 runs[key] = compare_runs(
                     sides, workload, seed, args.seconds, args.trace, args.pairs, specs
                 )
-        if args.scaling:
-            out["scaling"] = {
-                "config": f"q = 2 uniform, omega = 0, corner suite, per_color_pm only, "
-                          f"{SCALING_TRIALS} trials per run, base seed 424242",
-                "unit": "s per trial (sampling.edges: edges per trial)",
-                "statistic": f"median of {SCALING_REPEATS} runs per side",
-                "n": compare_scaling(sides, args.scaling),
-            }
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failed (no perfect matching, walk failure),
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import fields
@@ -180,7 +181,9 @@ def _cmd_sweep(args) -> int:
     raw.update((key, str(value)) for key, value in flags if value is not None)
     config = config_from_mapping(raw)
     records = sweep(config)
-    emit(records, args.format, args.out or sys.stdout, config, include_timings=args.timings)
+    buf = io.StringIO()
+    emit(records, args.format, buf, config, include_timings=args.timings)
+    _write_output(buf.getvalue(), args.out)
     summary = summarize(records, config)
     print(format_summary(summary), file=sys.stderr)
     return EXIT_OK

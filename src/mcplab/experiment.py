@@ -16,7 +16,6 @@ deterministic.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import random
@@ -271,13 +270,15 @@ def sweep(config: ExperimentConfig) -> list[TrialRecord]:
         *product(range(len(config.omega_grid)), range(config.trials))
     )
     # Both maps return results in input order.  run_trial is read at call
-    # time, so perfbench's tracer can rebind it.
-    if config.workers == 1:
+    # time, so perfbench's tracer can rebind it.  The pool starts all of its
+    # workers at the first submit, so it gets no more than there are trials.
+    workers = min(config.workers, len(grid_indices))
+    if workers == 1:
         return list(map(run_trial, repeat(config), grid_indices, trial_indices))
     # imported here, so that `import mcplab` does not pay for it
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(
             pool.map(run_trial, repeat(config), grid_indices, trial_indices, chunksize=1)
         )
@@ -409,7 +410,7 @@ def emit(
     config: ExperimentConfig,
     include_timings: bool = False,
 ) -> None:
-    """Write records as CSV or JSON-lines; byte-identical across reruns."""
+    """Write records as CSV or JSON-lines to a text stream; byte-identical across reruns."""
     if not records:
         raise ValidationError("no records to emit")
     if fmt not in ("csv", "jsonl"):
@@ -419,9 +420,8 @@ def emit(
         for record in records
         for row in record_rows(record, config, include_timings)
     ]
-    buf = io.StringIO()
     if fmt == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(destination, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for row in rows:
             omega, p, *middle, ms = row.values()
@@ -430,13 +430,7 @@ def emit(
         for row in rows:
             *cells, ms = row.values()
             out = dict(zip(CSV_HEADER, (*cells, round(ms, 3))))
-            buf.write(json.dumps(out, separators=(",", ":")) + "\n")
-    data = buf.getvalue()
-    if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+            destination.write(json.dumps(out, separators=(",", ":")) + "\n")
 
 
 # -- config files ------------------------------------------------------------

@@ -441,6 +441,11 @@ def achieve_profile(
             tuple(retries), tuple(ms_per_step),
         )
 
+    if start is None:
+        try:
+            start = monochromatic_perfect_matching(g, i_star)
+        except NoPerfectMatchingError as exc:
+            start = exc
     if isinstance(start, NoPerfectMatchingError):
         if start.color != i_star:
             raise ValidationError(
@@ -451,13 +456,6 @@ def achieve_profile(
         return WalkOutcome(
             None, WalkFailure("no_monochromatic_start", i_star), report()
         )
-    if start is None:
-        try:
-            start = monochromatic_perfect_matching(g, i_star)
-        except NoPerfectMatchingError:
-            return WalkOutcome(
-                None, WalkFailure("no_monochromatic_start", i_star), report()
-            )
     try:
         state = _WalkState(g, start, i_star)
         if len(state.anchors) != n:

@@ -29,6 +29,12 @@ class TestGen:
         assert main(args + ["--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_no_out_prints_graph(self, graph_file, capsys):
+        capsys.readouterr()
+        rc = main(["gen", "--n", "8", "--alpha", "0.5,0.5", "--p", "0.8", "--seed", "3"])
+        assert rc == 0
+        assert capsys.readouterr().out.encode() == graph_file.read_bytes()
+
     def test_bad_alpha_is_usage_error(self, tmp_path):
         rc = main(["gen", "--n", "4", "--alpha", "0.5,0.6", "--p", "0.5",
                    "--out", str(tmp_path / "x.txt")])
@@ -218,6 +224,15 @@ class TestSweep:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_dash_out_prints_and_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--n", "20", "--alpha", "0.5,0.5", "--trials", "1"]
+        assert main(argv + ["--out", "f.csv"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", "-"]) == 0
+        assert capsys.readouterr().out.encode() == (tmp_path / "f.csv").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
 
     def test_validation_error_exit_2(self, tmp_path):
         rc = main([

@@ -45,6 +45,27 @@ class TestDefaultConstants:
         with pytest.raises(DomainError):
             default_constants(2, 2, 0.5)
 
+    @pytest.mark.parametrize(
+        "q, alpha_min, message",
+        [
+            (0, 0.5, "q must be >= 1, got 0"),
+            (2, 0.0, r"alpha_min must be in \(0, 1\], got 0.0"),
+            (2, 1.5, r"alpha_min must be in \(0, 1\], got 1.5"),
+        ],
+        ids=["zero-q", "zero-alpha", "alpha-above-1"],
+    )
+    def test_bad_arguments_rejected(self, q, alpha_min, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            default_constants(100, q, alpha_min)
+
+    @pytest.mark.parametrize(
+        "field", ["removal_coeff", "overlap_cap", "degree_cutoff", "growth_factor", "stop_size"]
+    )
+    def test_nonpositive_constant_rejected(self, field):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValidationError, match=f"^{field} must be strictly positive$"):
+                small_constants(**{field: value})
+
     def test_derived_relations(self):
         c = default_constants(1000, 3, 0.25)
         assert c.degree_cutoff == pytest.approx(math.log(1000) / 30.0)

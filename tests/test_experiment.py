@@ -31,6 +31,7 @@ from mcplab.experiment import (
     _monochromatic_start,
     CSV_HEADER,
     config_from_mapping,
+    format_summary,
     parse_checks,
     parse_config_text,
     parse_omega,
@@ -61,6 +62,20 @@ class TestConfigValidation:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValidationError):
             small_config(trials=0)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n=1), "n must be >= 2, got 1"),
+            (dict(omega_grid=()), "omega_grid must be nonempty"),
+            (dict(suite_kind="all"), "unknown profile suite 'all'"),
+            (dict(workers=0), "workers must be >= 1"),
+        ],
+        ids=["n", "omega_grid", "suite_kind", "workers"],
+    )
+    def test_bad_field_rejected(self, overrides, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            small_config(**overrides)
 
     def test_empty_explicit_suite_rejected(self):
         with pytest.raises(ValidationError):
@@ -363,6 +378,37 @@ class TestSweepAndEmit:
         emit(sweep(cfg2), "csv", buf2, cfg2)
         assert buf1.getvalue() == buf2.getvalue()
 
+    def test_pool_capped_at_trial_count(self, monkeypatch):
+        # The pool starts every worker at once, so it must not get more
+        # workers than trials; one trial runs in-process without a pool.
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        cfg = small_config(n=10, trials=1, workers=500)
+        assert [r.trial_index for r in sweep(cfg)] == [0]
+        assert sizes == []
+        cfg = small_config(n=10, omega_grid=(2.0, 5.0), trials=2, workers=500)
+        keys = [(r.grid_index, r.trial_index) for r in sweep(cfg)]
+        assert keys == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert sizes == [4]
+        sweep(small_config(n=10, trials=3, workers=2))
+        assert sizes == [4, 2]
+
     def test_emit_jsonl_mirrors_fields(self):
         import json
 
@@ -383,6 +429,9 @@ class TestSweepAndEmit:
         cfg = small_config(trials=1)
         with pytest.raises(ValidationError):
             emit([], "csv", io.StringIO(), cfg)
+
+    def test_format_summary_of_nothing(self):
+        assert format_summary([]) == "(no records)"
 
     def test_single_trial_summary_equals_record(self):
         cfg = small_config(trials=1, omega_grid=(5.0,))

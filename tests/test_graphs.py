@@ -50,6 +50,10 @@ class TestColorSpec:
     def test_tolerates_tiny_sum_error(self):
         ColorSpec(3, (1 / 3, 1 / 3, 1 / 3))
 
+    def test_rejects_alpha_count_other_than_q(self):
+        with pytest.raises(ValidationError, match="^expected 3 alphas, got 2$"):
+            ColorSpec(3, (0.5, 0.5))
+
 
 class TestBuildGraph:
     def test_f1_fixture(self, f1):
@@ -70,6 +74,25 @@ class TestBuildGraph:
     def test_color_out_of_range(self):
         with pytest.raises(ColorOutOfRangeError):
             build_graph(2, 2, [(0, 0, 3)])
+
+    @pytest.mark.parametrize(
+        "n, q, alphas, message",
+        [
+            (-1, 2, None, "n must be nonnegative, got -1"),
+            (2, 0, None, "q must be >= 1, got 0"),
+            (2, 2, (1.0,), "alphas length must equal q"),
+        ],
+        ids=["negative-n", "zero-q", "alphas-length"],
+    )
+    def test_bad_shape_rejected(self, n, q, alphas, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build_graph(n, q, [], alphas)
+
+    def test_ragged_edges_rejected(self):
+        # numpy cannot make one array of these rows; its error is wrapped.
+        prefix = r"^edges must be \(a, b, color\) integer triples: "
+        with pytest.raises(ValidationError, match=prefix):
+            build_graph(2, 2, [(0, 1, 1), (0, 1)])
 
     @pytest.mark.parametrize(
         "edges",
@@ -230,6 +253,19 @@ class TestMatchingType:
         with pytest.raises(InvalidMatchingError):
             Matching((0, 0))
 
+    def test_rejects_partner_out_of_range(self):
+        with pytest.raises(InvalidMatchingError, match="^partner 2 of A-vertex 1 out of range$"):
+            Matching((0, 2))
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [([(2, 0)], "A-vertex 2 out of range"), ([(0, 0), (0, 1)], "A-vertex 0 matched twice")],
+        ids=["out-of-range", "matched-twice"],
+    )
+    def test_from_pairs_rejects(self, pairs, message):
+        with pytest.raises(InvalidMatchingError, match=f"^{message}$"):
+            Matching.from_pairs(2, pairs)
+
     def test_inverse(self):
         m = Matching((1, 0, UNMATCHED))
         assert m.inverse == (1, 0, UNMATCHED)
@@ -280,6 +316,28 @@ class TestSerialization:
     def test_bad_edge_line(self):
         with pytest.raises(ParseError):
             parse_graph("2 2\n0 0\n")
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("a b\n", 1, "non-integer header 'a b'"),
+            ("2 2\n0 x 1\n", 2, "non-integer edge line '0 x 1'"),
+            ("", 0, "empty graph file"),
+            ("# only a comment\n", 0, "empty graph file"),
+        ],
+        ids=["header", "edge", "empty", "comment-only"],
+    )
+    def test_parse_error_line_and_message(self, text, line_no, message):
+        with pytest.raises(ParseError, match=f"^line {line_no}: {message}$") as exc:
+            parse_graph(text)
+        assert exc.value.line_no == line_no
+
+    def test_three_colors_without_alpha_line(self):
+        # With q = 3 an integer triple is an edge, so the first line after
+        # the header is no alpha line.
+        g = parse_graph("2 3\n0 0 1\n1 1 3\n")
+        assert g.edge_count == 2 and g.alphas is None
+        assert sorted(g.edges()) == [(0, 0, 1), (1, 1, 3)]
 
     def test_golden_digest(self):
         # Pins the bytes of ``mcplab gen``: serialize_graph over sampled

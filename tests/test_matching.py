@@ -149,3 +149,7 @@ class TestVerifyMatching:
         m = Matching.from_pairs(3, [(2, 0)])
         out = verify_matching(f3, m)
         assert out is not None and "not an edge" in out
+
+    def test_wrong_length_flagged(self, f1):
+        out = verify_matching(f1, Matching((0, 1, 2)))
+        assert out == "matching has length 3, graph has n=2"

@@ -33,6 +33,11 @@ class TestThresholdP:
         with pytest.raises(ValidationError):
             threshold_p(1, 0.0, 0.5)
 
+    @pytest.mark.parametrize("alpha_min", [0.0, -0.5, 1.5])
+    def test_alpha_min_outside_unit_interval_rejected(self, alpha_min):
+        with pytest.raises(ValidationError, match=rf"^alpha_min must be in \(0, 1\], got {alpha_min}$"):
+            threshold_p(100, 0.0, alpha_min)
+
 
 class TestStream:
     def test_vectorized_matches_scalar(self):

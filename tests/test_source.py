@@ -106,3 +106,13 @@ def test_bench_pairs_summary():
 def test_bench_pairs_verdict(parent, change, better, verdict):
     summarize = _load_script("bench_pairs").summarize
     assert summarize(parent, change, better, 0.24)["verdict"] == verdict
+
+
+@pytest.mark.parametrize("workloads", [[], ["--workloads"]], ids=["absent", "empty"])
+def test_bench_pairs_needs_workloads(workloads, monkeypatch, tmp_path):
+    bench = _load_script("bench_pairs")
+    calls = []
+    monkeypatch.setattr(bench.subprocess, "run", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SystemExit) as info:
+        bench.main(["--parent", "HEAD", *workloads, "--out", str(tmp_path / "b.json")])
+    assert info.value.code == 2 and calls == []
